@@ -16,7 +16,7 @@
 //!    streams do not (the paper notes the model degrades above ratio
 //!    32× for exactly this reason, §III-D).
 
-use szlite::huffman::HuffmanEncoder;
+use szlite::huffman::{sparse_cost, EncoderWorkspace};
 use szlite::SampleCodes;
 
 /// Tunable constants of the lossless-stage correction.
@@ -73,19 +73,25 @@ const STREAM_OVERHEAD: u64 = 64;
 pub fn predict(s: &SampleCodes, elem_bits: u32, gain: &LosslessGain) -> RatioPrediction {
     let n_total = s.n_total as f64;
 
-    // Huffman expected code length over the sampled histogram.
-    let enc = HuffmanEncoder::from_freqs(&s.histogram);
-    let sampled: u64 = s.histogram.iter().sum();
+    // Huffman expected code length over the sampled histogram, built
+    // from the observed symbols only.
+    let (code_bits, table_bytes) = sparse_cost(
+        s.alphabet,
+        &s.symbols,
+        &s.counts,
+        &mut EncoderWorkspace::default(),
+    );
+    let sampled: u64 = s.counts.iter().sum();
     let huff_bits = if sampled == 0 {
         0.0
     } else {
-        enc.encoded_bits(&s.histogram) as f64 / sampled as f64
+        code_bits as f64 / sampled as f64
     };
 
     // Table overhead amortized over the whole partition. The sampled
     // alphabet under-counts the full-partition alphabet slightly; a
     // 1.5× safety factor keeps the estimate centered in practice.
-    let table_bits = enc.table_bytes() as f64 * 8.0 * 1.5 / n_total;
+    let table_bits = table_bytes as f64 * 8.0 * 1.5 / n_total;
 
     // Literal cost for unpredictable points.
     let unpred = s.unpredictable_fraction();
@@ -139,6 +145,65 @@ mod tests {
             .collect();
         let p = predict_default(&sample(&data, 1e-3), 32);
         assert!(p.ratio < 4.0, "ratio {}", p.ratio);
+    }
+
+    /// The prediction as first written: a dense `from_freqs` Huffman
+    /// build over the whole alphabet.
+    fn predict_dense(s: &SampleCodes, elem_bits: u32, gain: &LosslessGain) -> RatioPrediction {
+        let mut histogram = vec![0u64; s.alphabet];
+        for (&sym, &c) in s.symbols.iter().zip(&s.counts) {
+            histogram[sym as usize] = c;
+        }
+        let n_total = s.n_total as f64;
+        let enc = szlite::huffman::HuffmanEncoder::from_freqs(&histogram);
+        let sampled: u64 = histogram.iter().sum();
+        let huff_bits = if sampled == 0 {
+            0.0
+        } else {
+            enc.encoded_bits(&histogram) as f64 / sampled as f64
+        };
+        let table_bits = enc.table_bytes() as f64 * 8.0 * 1.5 / n_total;
+        let unpred = s.unpredictable_fraction();
+        let literal_bits = unpred * f64::from(elem_bits);
+        let lz = gain.factor(s.mean_run_length());
+        let bits_pp = huff_bits * lz + literal_bits + table_bits;
+        let bytes = ((bits_pp * n_total / 8.0).ceil() as u64 + STREAM_OVERHEAD).max(1);
+        let ratio = (n_total * f64::from(elem_bits) / 8.0) / bytes as f64;
+        RatioPrediction {
+            bits_per_point: bytes as f64 * 8.0 / n_total,
+            bytes,
+            ratio,
+            huffman_bits_per_point: huff_bits,
+            unpredictable_fraction: unpred,
+        }
+    }
+
+    #[test]
+    fn sparse_prediction_matches_dense_build() {
+        let g = LosslessGain::default();
+        let mut x = 11u32;
+        let noisy: Vec<f32> = (0..60_000)
+            .map(|i| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                (i as f32 * 1e-3).sin() + (x >> 12) as f32 * 1e-6
+            })
+            .collect();
+        let outliers: Vec<f32> = (0..9_000)
+            .map(|i| if i % 97 == 0 { 1e30 } else { i as f32 })
+            .collect();
+        for (data, dims) in [
+            (&noisy, Dims::d1(noisy.len())),
+            (&noisy, Dims::d3(30, 40, 50)),
+            (&outliers, Dims::d2(90, 100)),
+        ] {
+            for eb in [1e-6, 1e-3, 0.5] {
+                for radius in [2, 64, 32768] {
+                    let cfg = Config::abs(eb).with_radius(radius);
+                    let s = sample_quantization(data, &dims, &cfg, 0.1).unwrap();
+                    assert_eq!(predict(&s, 32, &g), predict_dense(&s, 32, &g));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The compression pipeline: Lorenzo prediction → error-bounded
 //! quantization → canonical Huffman → LZSS.
 //!
-//! The hot path is a fused row kernel: one pass over the data performs
-//! prediction, quantization *and* Huffman frequency counting, with the
-//! boundary branches of the Lorenzo stencil replaced by reads from a
-//! zero row so the inner loop is uniform over `x`. Each pipeline worker
+//! The hot path is a fused point kernel driven by the Lorenzo row walker
+//! shared with the decoder ([`predictor::replay`](crate::predictor)): one
+//! pass over the data performs prediction, quantization *and* Huffman
+//! frequency counting, with zero-neighbour rows reduced to one add and
+//! the other rows interleaved in pairs to shorten the serial
+//! floating-point chain. Each pipeline worker
 //! carries its own [`Scratch`] — frequency counts are accumulated
 //! per-worker and merged into the Huffman build in a single sparse
 //! rebuild, so no stage shares mutable state across workers. The
@@ -16,8 +18,8 @@ use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::{EncoderWorkspace, HuffmanEncoder};
 use crate::lossless;
-use crate::predictor::Lorenzo;
-use crate::quantizer::{Quantizer, UNPREDICTABLE};
+use crate::predictor::{replay, Lorenzo, PointKernel, Strides};
+use crate::quantizer::{round_half_away, Quantizer, UNPREDICTABLE};
 use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 
 /// Stream magic: "SZL1".
@@ -112,96 +114,61 @@ pub fn compress_with_stats<T: Element>(
     Ok((out, stats))
 }
 
-/// Fused prediction + quantization + frequency-count kernel over one
-/// grid row.
+/// Fused quantization + frequency-count kernel at one grid point, driven
+/// by the shared Lorenzo row walker (`predictor::replay`).
 ///
-/// `cur` is the reconstruction row being produced; `py`, `pz`, `pzy`
-/// are the neighbor rows at `y-1`, `z-1` and `(z-1, y-1)` — the caller
-/// substitutes an all-zero row for rows outside the grid, which makes
-/// the Lorenzo stencil uniform over the whole row (adding `+0.0` for an
-/// absent neighbor is bit-exact because the accumulator can never be
-/// `-0.0` mid-chain: it starts at `+0.0` and IEEE-754 round-to-nearest
-/// only yields `-0.0` from sums of two negative zeros).
-///
-/// The loop carries `x-1` neighbors in registers, keeps the residual →
-/// code mapping branch-free (validity folds into one predicate; the
-/// code/reconstruction writes are select-based), and escapes to the
-/// literal lane only on the rare unpredictable point. The floating
-/// operation order matches [`compress_reference`] exactly — division by
-/// `2·eb` stays a division, the stencil accumulates in the fixed
-/// `+x +y +z −xy −xz −yz +xyz` order — so emitted codes, literals and
-/// reconstructions are bit-identical.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn quantize_row<T: Element>(
-    data: &[T],
-    cur: &mut [f64],
-    py: &[f64],
-    pz: &[f64],
-    pzy: &[f64],
+/// Validity of the residual → code mapping folds into one predicate,
+/// and only the rare escape leaves the straight-line path. The
+/// floating operation order matches [`compress_reference`] exactly —
+/// division by `2·eb` stays a division, [`round_half_away`] is
+/// `f64::round` bit for bit, and the integral `q` multiplies `2·eb`
+/// directly (`q as i64 as f64` is `q` for every in-range `q`; a `-0.0`
+/// product adds to a prediction that is never `-0.0`) — so emitted
+/// codes and reconstructions are bit-identical. Escapes are only
+/// counted here; their literals are gathered afterwards in index order.
+struct Quantize<'a, T> {
+    data: &'a [T],
+    codes: &'a mut [u32],
+    /// Alphabet-sized histogram; `present` lists its nonzero entries.
+    freqs: &'a mut [u64],
+    present: &'a mut Vec<u32>,
     eb: f64,
     twice_eb: f64,
     radius: i64,
-    codes: &mut [u32],
-    literals: &mut Vec<u8>,
-    freqs: &mut [u64],
-    present: &mut Vec<u32>,
-    n_unpred: &mut usize,
-) {
-    let nx = data.len();
-    debug_assert!(cur.len() == nx && py.len() >= nx && pz.len() >= nx && pzy.len() >= nx);
-    debug_assert!(codes.len() == nx);
-    let radius_f = radius as f64;
-    // Running x-1 neighbors: current row, y-1 row, z-1 row, corner.
-    let mut cx = 0.0f64;
-    let mut pyx = 0.0f64;
-    let mut pzx = 0.0f64;
-    let mut pzyx = 0.0f64;
-    for x in 0..nx {
-        let ry = py[x];
-        let rz = pz[x];
-        let rzy = pzy[x];
-        let pred = ((((((0.0 + cx) + ry) + rz) - pyx) - pzx) - rzy) + pzyx;
-        let xv = data[x].to_f64();
-        let d = xv - pred;
-        let q = (d / twice_eb).round();
-        // Branch-free validity: all comparisons are false on NaN, so a
-        // non-finite value or prediction lands in the escape lane.
-        let in_range = q.is_finite() & (q.abs() < radius_f);
-        let qi = if in_range { q as i64 } else { 0 };
-        let r64 = pred + qi as f64 * twice_eb;
+    radius_f: f64,
+}
+
+impl<T: Element> PointKernel for Quantize<'_, T> {
+    #[inline(always)]
+    fn point(&mut self, i: usize, pred: f64) -> f64 {
+        let xv = self.data[i].to_f64();
+        let q = round_half_away((xv - pred) / self.twice_eb);
+        // Every comparison is false on NaN, so a non-finite value or
+        // prediction lands in the escape lane.
+        let in_range = q.abs() < self.radius_f;
+        let r64 = pred + q * self.twice_eb;
         // Round through the storage type so the decoder (which emits T)
         // sees exactly this value.
         let rt = T::from_f64(r64).to_f64();
-        let ok = in_range & ((xv - r64).abs() <= eb) & ((xv - rt).abs() <= eb);
+        let ok = in_range & ((xv - r64).abs() <= self.eb) & ((xv - rt).abs() <= self.eb);
         let code = if ok {
-            (qi + radius) as u32
+            (q as i64 + self.radius) as u32
         } else {
             UNPREDICTABLE
         };
-        let rv = if ok {
+        self.codes[i] = code;
+        let f = &mut self.freqs[code as usize];
+        if *f == 0 {
+            self.present.push(code);
+        }
+        *f += 1;
+        if ok {
             rt
         } else if xv.is_finite() {
             xv
         } else {
             0.0
-        };
-        codes[x] = code;
-        cur[x] = rv;
-        let f = freqs[code as usize];
-        if f == 0 {
-            present.push(code);
         }
-        freqs[code as usize] = f + 1;
-        if !ok {
-            // Rare unpredictable-escape lane.
-            data[x].write_le(literals);
-            *n_unpred += 1;
-        }
-        cx = rv;
-        pyx = ry;
-        pzx = rz;
-        pzyx = rzy;
     }
 }
 
@@ -232,10 +199,7 @@ pub fn compress_into<T: Element>(
     let eb = cfg.error_bound.resolve_for(data)?;
 
     let quant = Quantizer::new(eb, cfg.radius);
-    let lorenzo = Lorenzo::new(dims);
-    let st = *lorenzo.strides();
-    let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
-    let plane = ny * nx;
+    let st = Strides::new(dims);
 
     let n = data.len();
     let Scratch {
@@ -257,52 +221,32 @@ pub fn compress_into<T: Element>(
     literals.clear();
     recon.clear();
     recon.resize(n, 0.0);
-    zero_row.clear();
-    zero_row.resize(nx, 0.0);
     let alphabet = quant.alphabet();
     if freqs.len() < alphabet {
         freqs.resize(alphabet, 0);
     }
     present.clear();
-    let mut n_unpred = 0usize;
 
     let radius = i64::from(cfg.radius.max(2));
-    let twice_eb = 2.0 * eb;
-    for z in 0..nz {
-        for y in 0..ny {
-            let base = z * plane + y * nx;
-            let (head, tail) = recon.split_at_mut(base);
-            let cur = &mut tail[..nx];
-            let py: &[f64] = if y > 0 {
-                &head[base - nx..base]
-            } else {
-                zero_row
-            };
-            let pz: &[f64] = if z > 0 {
-                &head[base - plane..base - plane + nx]
-            } else {
-                zero_row
-            };
-            let pzy: &[f64] = if z > 0 && y > 0 {
-                &head[base - plane - nx..base - plane]
-            } else {
-                zero_row
-            };
-            quantize_row(
-                &data[base..base + nx],
-                cur,
-                py,
-                pz,
-                pzy,
-                eb,
-                twice_eb,
-                radius,
-                &mut codes[base..base + nx],
-                literals,
-                &mut freqs[..alphabet],
-                present,
-                &mut n_unpred,
-            );
+    let mut kernel = Quantize {
+        data,
+        codes,
+        freqs: &mut freqs[..alphabet],
+        present,
+        eb,
+        twice_eb: 2.0 * eb,
+        radius,
+        radius_f: radius as f64,
+    };
+    replay(&st, recon, zero_row, &mut kernel);
+    // Escapes, in index order; the escape symbol's count is their
+    // number, so an escape-free run skips the scan.
+    let n_unpred = freqs[UNPREDICTABLE as usize] as usize;
+    if n_unpred > 0 {
+        for (&c, &v) in codes.iter().zip(data) {
+            if c == UNPREDICTABLE {
+                v.write_le(literals);
+            }
         }
     }
 

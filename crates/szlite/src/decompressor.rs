@@ -5,7 +5,10 @@
 //! batch-decoded by [`HuffmanDecoder::decode_into`], whose LUT fast
 //! path resolves short codes from a single peek at the word-buffered
 //! [`BitReader`]; the LZSS stage expands through the chunked copy
-//! loops in [`lossless::decompress_into`].
+//! loops in [`lossless::decompress_into`]. The Lorenzo replay runs on
+//! the compressor's row walker, so both directions evaluate the same
+//! expression at every point; literals are put in place before the
+//! replay, which visits the rows of a pair interleaved.
 //!
 //! The decode path mirrors the compressor's scratch discipline: a
 //! [`DecompressScratch`] keeps the Huffman table (LUT included), the
@@ -20,7 +23,7 @@ use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::HuffmanDecoder;
 use crate::lossless;
-use crate::predictor::Lorenzo;
+use crate::predictor::{replay, Lorenzo, PointKernel, Strides};
 use crate::quantizer::{Quantizer, UNPREDICTABLE};
 use crate::stream::{get_f64, get_u32, get_varint, BitReader};
 
@@ -159,10 +162,6 @@ pub fn decompress_into<T: Element>(
 ) -> Result<Dims> {
     let _span = obs::span_arg("sz.decompress", bytes.len() as u64);
     out.clear();
-    let info = stream_info(bytes)?;
-    if info.dtype != T::DTYPE {
-        return Err(SzError::Corrupt("element type mismatch"));
-    }
     let DecompressScratch {
         payload,
         huffman,
@@ -170,6 +169,35 @@ pub fn decompress_into<T: Element>(
         recon,
         zero_row,
     } = scratch;
+    let (info, lit_bytes) = decode_symbols::<T>(bytes, payload, huffman, codes)?;
+    let quant = Quantizer::new(info.eb, info.radius);
+    let n = codes.len();
+    out.resize(n, T::from_f64(0.0));
+    place_literals(codes, quant.alphabet(), lit_bytes, out)?;
+    recon.clear();
+    recon.resize(n, 0.0);
+    replay(
+        &Strides::new(&info.dims),
+        recon,
+        zero_row,
+        &mut Reconstruct { codes, out, quant },
+    );
+    Ok(info.dims)
+}
+
+/// Parse the header, undo the lossless stage and Huffman-decode the
+/// symbol stream into `codes` (one per point). Returns the header and
+/// the literal bytes, which borrow from `bytes` or from `payload`.
+fn decode_symbols<'a, T: Element>(
+    bytes: &'a [u8],
+    payload: &'a mut Vec<u8>,
+    huffman: &mut HuffmanDecoder,
+    codes: &mut Vec<u32>,
+) -> Result<(StreamInfo, &'a [u8])> {
+    let info = stream_info(bytes)?;
+    if info.dtype != T::DTYPE {
+        return Err(SzError::Corrupt("element type mismatch"));
+    }
     let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
     let payload_ref: &[u8] = if info.lossless {
         lossless::decompress_into(body, payload)?;
@@ -214,144 +242,102 @@ pub fn decompress_into<T: Element>(
     if lit_bytes.len() < lit_needed {
         return Err(SzError::Truncated("literal bytes"));
     }
-
-    let quant = Quantizer::new(info.eb, info.radius);
-    let lorenzo = Lorenzo::new(&info.dims);
-    let st = *lorenzo.strides();
-
-    let n = info.dims.len();
-    out.reserve(n);
-    recon.clear();
-    recon.resize(n, 0.0);
-    let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
-    let plane = ny * nx;
-    zero_row.clear();
-    zero_row.resize(nx, 0.0);
-    let mut lit_pos = 0usize;
-    // Row-kernel replay of the compressor's recurrence: absent neighbor
-    // rows read from a zero row, `x-1` neighbors carried in registers.
-    // Values are identical to the per-point branchy replay — same
-    // argument as the compressor's fused kernel.
-    for z in 0..nz {
-        for y in 0..ny {
-            let base = z * plane + y * nx;
-            let (head, tail) = recon.split_at_mut(base);
-            let cur = &mut tail[..nx];
-            let py: &[f64] = if y > 0 {
-                &head[base - nx..base]
-            } else {
-                zero_row
-            };
-            let pz: &[f64] = if z > 0 {
-                &head[base - plane..base - plane + nx]
-            } else {
-                zero_row
-            };
-            let pzy: &[f64] = if z > 0 && y > 0 {
-                &head[base - plane - nx..base - plane]
-            } else {
-                zero_row
-            };
-            decode_row(
-                &codes[base..base + nx],
-                cur,
-                py,
-                pz,
-                pzy,
-                &quant,
-                lit_bytes,
-                &mut lit_pos,
-                out,
-            )?;
-        }
-    }
-    Ok(info.dims)
+    Ok((info, lit_bytes))
 }
 
-/// Decode one grid row: invert the quantizer against the row-kernel
-/// Lorenzo prediction, pulling literals for escape codes.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn decode_row<T: Element>(
+/// Check every symbol against the alphabet and copy each escape's
+/// literal, in index order, to its place in `out`, so the replay can
+/// visit points in any order. Escape-free streams — the common case —
+/// cost one vectorizable scan.
+fn place_literals<T: Element>(
     codes: &[u32],
-    cur: &mut [f64],
-    py: &[f64],
-    pz: &[f64],
-    pzy: &[f64],
-    quant: &Quantizer,
+    alphabet: usize,
     lit_bytes: &[u8],
-    lit_pos: &mut usize,
-    out: &mut Vec<T>,
+    out: &mut [T],
 ) -> Result<()> {
-    let nx = codes.len();
-    debug_assert!(cur.len() == nx && py.len() >= nx && pz.len() >= nx && pzy.len() >= nx);
-    let alphabet = quant.alphabet();
-    let mut cx = 0.0f64;
-    let mut pyx = 0.0f64;
-    let mut pzx = 0.0f64;
-    let mut pzyx = 0.0f64;
-    // Escape-free rows — the overwhelmingly common case — take a
-    // branch-light kernel: validate the whole row up front, then
-    // reconstruct with no per-point literal or alphabet branches. The
-    // prediction expression is textually identical to the general
-    // loop's, so the replayed values (and thus the output) are
-    // bit-identical; on a validation failure the general loop below
-    // reports the same typed error.
     if codes
         .iter()
         .all(|&c| c != UNPREDICTABLE && (c as usize) < alphabet)
     {
-        let rows = cur
-            .iter_mut()
-            .zip(codes)
-            .zip(py[..nx].iter().zip(&pz[..nx]).zip(&pzy[..nx]));
-        for ((c, &code), ((&ry, &rz), &rzy)) in rows {
-            let pred = ((((((0.0 + cx) + ry) + rz) - pyx) - pzx) - rzy) + pzyx;
-            let r64 = quant.reconstruct(code, pred);
-            let v = T::from_f64(r64);
-            let rv = v.to_f64();
-            *c = rv;
-            out.push(v);
-            cx = rv;
-            pyx = ry;
-            pzx = rz;
-            pzyx = rzy;
-        }
         return Ok(());
     }
-    for x in 0..nx {
-        let ry = py[x];
-        let rz = pz[x];
-        let rzy = pzy[x];
-        let pred = ((((((0.0 + cx) + ry) + rz) - pyx) - pzx) - rzy) + pzyx;
-        let code = codes[x];
-        let rv: f64;
-        let value: T;
+    let mut lit_pos = 0usize;
+    for (&code, v) in codes.iter().zip(out) {
         if code == UNPREDICTABLE {
-            let v = T::read_le(lit_bytes, lit_pos)?;
-            rv = if v.to_f64().is_finite() {
-                v.to_f64()
-            } else {
-                0.0
-            };
-            value = v;
-        } else {
-            if code as usize >= alphabet {
-                return Err(SzError::Corrupt("symbol out of alphabet"));
-            }
-            let r64 = quant.reconstruct(code, pred);
-            let v = T::from_f64(r64);
-            rv = v.to_f64();
-            value = v;
+            *v = T::read_le(lit_bytes, &mut lit_pos)?;
+        } else if code as usize >= alphabet {
+            return Err(SzError::Corrupt("symbol out of alphabet"));
         }
-        cur[x] = rv;
-        out.push(value);
-        cx = rv;
-        pyx = ry;
-        pzx = rz;
-        pzyx = rzy;
     }
     Ok(())
+}
+
+/// Inverse quantization at one grid point, driven by the shared Lorenzo
+/// row walker (`predictor::replay`): the same prediction the compressor
+/// quantized against, so the replayed values are bit-identical.
+struct Reconstruct<'a, T> {
+    codes: &'a [u32],
+    /// Literals already in place (see [`place_literals`]).
+    out: &'a mut [T],
+    quant: Quantizer,
+}
+
+impl<T: Element> PointKernel for Reconstruct<'_, T> {
+    #[inline(always)]
+    fn point(&mut self, i: usize, pred: f64) -> f64 {
+        let code = self.codes[i];
+        if code == UNPREDICTABLE {
+            let v = self.out[i].to_f64();
+            return if v.is_finite() { v } else { 0.0 };
+        }
+        let v = T::from_f64(self.quant.reconstruct(code, pred));
+        self.out[i] = v;
+        v.to_f64()
+    }
+}
+
+/// Scalar reference decoder: per-point [`Lorenzo::predict`] with its
+/// boundary branches and [`Quantizer::reconstruct`], literals read in
+/// index order as the replay reaches them.
+///
+/// The oracle [`decompress_into`] must match bit for bit on every
+/// stream. It is not a hot path: it allocates per call.
+pub fn decompress_reference<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims)> {
+    let mut payload = Vec::new();
+    let mut huffman = HuffmanDecoder::default();
+    let mut codes = Vec::new();
+    let (info, lit_bytes) = decode_symbols::<T>(bytes, &mut payload, &mut huffman, &mut codes)?;
+    let quant = Quantizer::new(info.eb, info.radius);
+    let lorenzo = Lorenzo::new(&info.dims);
+    let st = *lorenzo.strides();
+    let mut recon = vec![0.0f64; codes.len()];
+    let mut out = Vec::with_capacity(codes.len());
+    let mut lit_pos = 0usize;
+    let mut idx = 0usize;
+    for z in 0..st.ext[0] {
+        for y in 0..st.ext[1] {
+            for x in 0..st.ext[2] {
+                let code = codes[idx];
+                let v = if code == UNPREDICTABLE {
+                    let v = T::read_le(lit_bytes, &mut lit_pos)?;
+                    let f = v.to_f64();
+                    recon[idx] = if f.is_finite() { f } else { 0.0 };
+                    v
+                } else {
+                    if code as usize >= quant.alphabet() {
+                        return Err(SzError::Corrupt("symbol out of alphabet"));
+                    }
+                    let pred = lorenzo.predict(&recon, z, y, x);
+                    let v = T::from_f64(quant.reconstruct(code, pred));
+                    recon[idx] = v.to_f64();
+                    v
+                };
+                out.push(v);
+                idx += 1;
+            }
+        }
+    }
+    Ok((out, info.dims))
 }
 
 /// Convenience wrapper: decompress an `f32` stream.

@@ -120,9 +120,18 @@ impl PartialOrd for Node {
 /// `ws.lens[i]` is the code length of `used[i]`. All scratch lives in
 /// `ws`, so steady-state calls allocate nothing.
 fn code_lengths_sparse(freqs: &[u64], used: &[u32], ws: &mut EncoderWorkspace) {
+    ws.flat.clear();
+    ws.flat.extend(used.iter().map(|&s| freqs[s as usize]));
+    code_lengths_flat(ws);
+}
+
+/// Compute code lengths for the compact frequency list `ws.flat` (the
+/// used symbols' counts in ascending symbol order) into `ws.lens`.
+fn code_lengths_flat(ws: &mut EncoderWorkspace) {
+    let n = ws.flat.len();
     ws.lens.clear();
-    ws.lens.resize(used.len(), 0);
-    match used.len() {
+    ws.lens.resize(n, 0);
+    match n {
         0 => return,
         1 => {
             ws.lens[0] = 1;
@@ -131,13 +140,11 @@ fn code_lengths_sparse(freqs: &[u64], used: &[u32], ws: &mut EncoderWorkspace) {
         _ => {}
     }
 
-    // Work on a compact copy of the used frequencies; the flatten-retry
-    // path (rare; needs near-Fibonacci profiles) mutates it in place.
-    ws.flat.clear();
-    ws.flat.extend(used.iter().map(|&s| freqs[s as usize]));
+    // The flatten-retry path (rare; needs near-Fibonacci profiles)
+    // mutates `ws.flat` in place.
     loop {
         ws.parent.clear();
-        ws.parent.resize(used.len() * 2, usize::MAX);
+        ws.parent.resize(n * 2, usize::MAX);
         ws.nodes.clear();
         ws.nodes.extend(
             ws.flat
@@ -146,7 +153,7 @@ fn code_lengths_sparse(freqs: &[u64], used: &[u32], ws: &mut EncoderWorkspace) {
                 .map(|(i, &f)| Node { freq: f, id: i }),
         );
         let mut heap = BinaryHeap::from(std::mem::take(&mut ws.nodes));
-        let mut next_id = used.len();
+        let mut next_id = n;
         while heap.len() > 1 {
             let a = heap.pop().unwrap();
             let b = heap.pop().unwrap();
@@ -163,7 +170,7 @@ fn code_lengths_sparse(freqs: &[u64], used: &[u32], ws: &mut EncoderWorkspace) {
         // Hand the heap's allocation back to the workspace.
         ws.nodes = heap.into_vec();
         let mut too_deep = false;
-        for i in 0..used.len() {
+        for i in 0..n {
             let mut d = 0u32;
             let mut n = i;
             while n != root {
@@ -201,6 +208,50 @@ fn code_lengths(freqs: &[u64]) -> Vec<u8> {
         lens[s as usize] = ws.lens[i];
     }
     lens
+}
+
+/// Size of a Huffman-coded stream, from sparse symbol counts and
+/// without building the code table: `symbols` lists the used symbols
+/// in ascending order, `counts[i]` (> 0) is the count of `symbols[i]`.
+///
+/// Returns `(code_bits, table_bytes)`, exactly what a dense build over
+/// the same counts reports — `HuffmanEncoder::from_freqs(&freqs)`'s
+/// `encoded_bits(&freqs)` and `table_bytes()` with `freqs` the
+/// `alphabet`-long histogram — with work proportional to the used
+/// symbols, not the alphabet.
+pub fn sparse_cost(
+    alphabet: usize,
+    symbols: &[u32],
+    counts: &[u64],
+    ws: &mut EncoderWorkspace,
+) -> (u64, usize) {
+    debug_assert_eq!(symbols.len(), counts.len());
+    ws.flat.clear();
+    ws.flat.extend_from_slice(counts);
+    code_lengths_flat(ws);
+    let code_bits = counts
+        .iter()
+        .zip(&ws.lens)
+        .map(|(&c, &l)| c * u64::from(l))
+        .sum();
+    // The layout `HuffmanEncoder::serialize` writes: alphabet and entry
+    // count, then a symbol delta and a length byte per entry.
+    let mut prev = 0u32;
+    let entries: usize = symbols
+        .iter()
+        .map(|&sym| {
+            let delta = sym - prev;
+            prev = sym;
+            varint_len(u64::from(delta)) + 1
+        })
+        .sum();
+    let table_bytes = varint_len(alphabet as u64) + varint_len(symbols.len() as u64) + entries;
+    (code_bits, table_bytes)
+}
+
+/// Bytes [`put_varint`] spends on `v`.
+fn varint_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
 }
 
 /// Assign canonical codes given lengths. Returns `(code, len)` per symbol.
@@ -713,6 +764,40 @@ mod tests {
             fresh.encode(syms, &mut wb);
             assert_eq!(wa.finish(), wb.finish());
             assert_eq!(enc.table_bytes(), fresh.table_bytes());
+        }
+    }
+
+    #[test]
+    fn sparse_cost_matches_dense_build() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |m: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % m
+        };
+        let mut ws = EncoderWorkspace::default();
+        for alphabet in [1usize, 2, 3, 200, 65536, 1 << 20] {
+            for used in [0usize, 1, 2, 17, 300] {
+                let mut freqs = vec![0u64; alphabet];
+                for _ in 0..used {
+                    // Skewed counts, some far apart in symbol space.
+                    let s = next(alphabet as u64) as usize;
+                    let scale = next(20);
+                    freqs[s] += 1 + next(1 << scale);
+                }
+                let symbols: Vec<u32> = (0..alphabet as u32)
+                    .filter(|&s| freqs[s as usize] > 0)
+                    .collect();
+                let counts: Vec<u64> = symbols.iter().map(|&s| freqs[s as usize]).collect();
+                let dense = HuffmanEncoder::from_freqs(&freqs);
+                assert_eq!(
+                    sparse_cost(alphabet, &symbols, &counts, &mut ws),
+                    (dense.encoded_bits(&freqs), dense.table_bytes()),
+                    "alphabet {alphabet}, {} used",
+                    symbols.len()
+                );
+            }
         }
     }
 

@@ -4,6 +4,10 @@
 //! (the *reconstructed* values, so encoder and decoder stay in
 //! lockstep and the error bound holds end-to-end). Out-of-grid
 //! neighbors contribute zero, the classic Lorenzo convention.
+//!
+//! [`Lorenzo::predict`] is the per-point form the reference codecs use;
+//! the fast codecs share one row walker that evaluates the same
+//! expression along the grid with a shorter serial chain.
 
 use crate::config::Dims;
 
@@ -105,6 +109,182 @@ impl Lorenzo {
         }
         p
     }
+}
+
+/// The 3-D Lorenzo stencil in the one fixed evaluation order both
+/// directions of the codec (and [`Lorenzo::predict`]) use:
+/// `+x +y +z −xy −xz −yz +xyz`, accumulated from `+0.0`.
+///
+/// `cx`, `pyx`, `pzx`, `pzyx` are the `x-1` neighbours in the current,
+/// `y-1`, `z-1` and `(z-1, y-1)` rows; `ry`, `rz`, `rzy` the same-`x`
+/// neighbours. An absent neighbour is passed as `+0.0`: the accumulator
+/// starts at `+0.0` and round-to-nearest only yields `-0.0` from two
+/// negative zeros, so it is never `-0.0` and adding or subtracting
+/// `+0.0` leaves it unchanged — the result is bit-identical to the
+/// branchy boundary form of [`Lorenzo::predict`].
+#[inline(always)]
+fn stencil(cx: f64, ry: f64, rz: f64, pyx: f64, pzx: f64, rzy: f64, pzyx: f64) -> f64 {
+    ((((((0.0 + cx) + ry) + rz) - pyx) - pzx) - rzy) + pzyx
+}
+
+/// One direction of the codec at a single grid point: quantize or
+/// reconstruct point `i` (raster index) against its Lorenzo prediction
+/// and return the reconstructed value the recurrence carries on.
+///
+/// [`replay`] calls `point` for every index exactly once, but not in
+/// raster order (rows are interleaved in pairs), so an implementation
+/// must key every side effect on `i`.
+pub(crate) trait PointKernel {
+    /// Process point `i` with prediction `pred`; return its
+    /// reconstruction.
+    fn point(&mut self, i: usize, pred: f64) -> f64;
+}
+
+/// Replay the Lorenzo recurrence over a grid, writing reconstructions
+/// into `recon` (one entry per point) and handing each point's
+/// prediction to `k`.
+///
+/// The recurrence is a serial floating-point chain through the `x-1`
+/// neighbour, and its fixed evaluation order (see [`stencil`]) puts
+/// that neighbour first, so every stencil add sits on the chain. Three
+/// row shapes shorten it without changing a bit:
+///
+/// * a row none of whose neighbours lie in the grid — every row of 1-D
+///   data and the first row of a grid — predicts `0.0 + cx`, the whole
+///   stencil with its zero terms dropped (one add on the chain, not
+///   seven);
+/// * the other rows of a plane go in pairs `y`/`y+1`, with row `y+1`
+///   one point behind: point `x-1` of row `y+1` needs row `y` only up
+///   to `x-1`, so the two rows' chains are independent and overlap —
+///   points on the same `x + y` wavefront, each evaluating the
+///   textually identical expression;
+/// * a plane's odd last row runs alone.
+pub(crate) fn replay<K: PointKernel>(
+    st: &Strides,
+    recon: &mut [f64],
+    zero_row: &mut Vec<f64>,
+    k: &mut K,
+) {
+    let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
+    let plane = ny * nx;
+    debug_assert_eq!(recon.len(), nz * plane);
+    zero_row.clear();
+    zero_row.resize(nx, 0.0);
+    let zero: &[f64] = zero_row;
+    zero_neighbour_row(0, &mut recon[..nx], k);
+    for z in 0..nz {
+        let mut y = usize::from(z == 0);
+        while y < ny {
+            let base = z * plane + y * nx;
+            let (head, tail) = recon.split_at_mut(base);
+            let py = if y > 0 { &head[base - nx..base] } else { zero };
+            let (pz, pzy) = if z == 0 {
+                (zero, zero)
+            } else {
+                let above = base - plane;
+                let pzy = if y > 0 {
+                    &head[above - nx..above]
+                } else {
+                    zero
+                };
+                (&head[above..above + nx], pzy)
+            };
+            if y + 1 < ny {
+                let (cur0, rest) = tail.split_at_mut(nx);
+                // Row y+1's z-1 neighbour row; its (z-1, y-1) row is
+                // row y's z-1 row.
+                let pz1 = if z == 0 {
+                    zero
+                } else {
+                    &head[base - plane + nx..base - plane + 2 * nx]
+                };
+                row_pair(base, cur0, &mut rest[..nx], py, pz, pzy, pz1, k);
+                y += 2;
+            } else {
+                row(base, &mut tail[..nx], py, pz, pzy, k);
+                y += 1;
+            }
+        }
+    }
+}
+
+/// A row with no in-grid neighbour: the stencil reduces to `0.0 + cx`.
+#[inline(always)]
+fn zero_neighbour_row<K: PointKernel>(base: usize, cur: &mut [f64], k: &mut K) {
+    let mut cx = 0.0f64;
+    for (x, c) in cur.iter_mut().enumerate() {
+        cx = k.point(base + x, 0.0 + cx);
+        *c = cx;
+    }
+}
+
+/// One row under the full stencil; `py`, `pz`, `pzy` are its `y-1`,
+/// `z-1` and `(z-1, y-1)` rows (all-zero outside the grid).
+#[inline(always)]
+fn row<K: PointKernel>(
+    base: usize,
+    cur: &mut [f64],
+    py: &[f64],
+    pz: &[f64],
+    pzy: &[f64],
+    k: &mut K,
+) {
+    let nx = cur.len();
+    let (py, pz, pzy) = (&py[..nx], &pz[..nx], &pzy[..nx]);
+    let (mut cx, mut pyx, mut pzx, mut pzyx) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for x in 0..nx {
+        let (ry, rz, rzy) = (py[x], pz[x], pzy[x]);
+        cx = k.point(base + x, stencil(cx, ry, rz, pyx, pzx, rzy, pzyx));
+        cur[x] = cx;
+        (pyx, pzx, pzyx) = (ry, rz, rzy);
+    }
+}
+
+/// Rows `y` (`cur0`, starting at `base`) and `y+1` (`cur1`) of one
+/// plane, row `y+1` lagging one point: each step evaluates point `x`
+/// of row `y` and point `x-1` of row `y+1`. Row `y+1`'s `y-1`
+/// neighbour is `cur0` itself (its latest value rides in a register)
+/// and its `(z-1, y-1)` row is `pz0`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn row_pair<K: PointKernel>(
+    base: usize,
+    cur0: &mut [f64],
+    cur1: &mut [f64],
+    py0: &[f64],
+    pz0: &[f64],
+    pzy0: &[f64],
+    pz1: &[f64],
+    k: &mut K,
+) {
+    let nx = cur0.len();
+    let (cur1, py0, pz0, pzy0, pz1) = (
+        &mut cur1[..nx],
+        &py0[..nx],
+        &pz0[..nx],
+        &pzy0[..nx],
+        &pz1[..nx],
+    );
+    let base1 = base + nx;
+    let mut cx0 = k.point(base, stencil(0.0, py0[0], pz0[0], 0.0, 0.0, pzy0[0], 0.0));
+    cur0[0] = cx0;
+    let (mut pyx0, mut pzx0, mut pzyx0) = (py0[0], pz0[0], pzy0[0]);
+    let (mut cx1, mut pyx1, mut pzx1, mut pzyx1) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for x in 1..nx {
+        let (ry0, rz0, rzy0) = (py0[x], pz0[x], pzy0[x]);
+        let pred0 = stencil(cx0, ry0, rz0, pyx0, pzx0, rzy0, pzyx0);
+        let (ry1, rz1, rzy1) = (cx0, pz1[x - 1], pz0[x - 1]);
+        let pred1 = stencil(cx1, ry1, rz1, pyx1, pzx1, rzy1, pzyx1);
+        cx0 = k.point(base + x, pred0);
+        cx1 = k.point(base1 + x - 1, pred1);
+        cur0[x] = cx0;
+        cur1[x - 1] = cx1;
+        (pyx0, pzx0, pzyx0) = (ry0, rz0, rzy0);
+        (pyx1, pzx1, pzyx1) = (ry1, rz1, rzy1);
+    }
+    let x = nx - 1;
+    let pred1 = stencil(cx1, cx0, pz1[x], pyx1, pzx1, pz0[x], pzyx1);
+    cur1[x] = k.point(base1 + x, pred1);
 }
 
 #[cfg(test)]

@@ -7,6 +7,35 @@
 //! raw value is stored verbatim (either because `|q| ≥ radius` or
 //! because rounding to the storage type would break the bound).
 
+/// `v.round()` — nearest integer, ties away from zero — inlined.
+///
+/// On the x86-64 baseline (SSE2, no `roundsd`) `f64::round` is an
+/// out-of-line libm call, and the compressor calls it on its serial
+/// Lorenzo chain. Here the common case is two adds and a sign select;
+/// the rare inputs that need more — exact ties rounded the wrong way,
+/// magnitudes from 2^52 up, NaN — branch off to `f64::round`, so the
+/// result is bit-identical to `f64::round` on every input.
+#[inline(always)]
+pub fn round_half_away(v: f64) -> f64 {
+    // From 2^52 up every f64 is an integer.
+    const INTEGRAL: f64 = 4_503_599_627_370_496.0;
+    let a = v.abs();
+    // Below 2^52, adding and removing 2^52 rounds to nearest, ties to
+    // even; `t - a` is exact (Sterbenz), so a tie that went down shows.
+    let t = (a + INTEGRAL) - INTEGRAL;
+    if a < INTEGRAL && t - a != -0.5 {
+        return t.copysign(v);
+    }
+    round_rare(v)
+}
+
+/// The out-of-line tail of [`round_half_away`].
+#[cold]
+#[inline(never)]
+fn round_rare(v: f64) -> f64 {
+    v.round()
+}
+
 /// Linear quantizer with a bounded codebook.
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {

@@ -13,13 +13,15 @@ use crate::config::{Config, Dims};
 use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::predictor::{Lorenzo, Strides};
-use crate::quantizer::Quantizer;
+use crate::quantizer::{Quantizer, UNPREDICTABLE};
 
 /// Histogram of quantization codes over a sampled subset.
 #[derive(Debug, Clone)]
 pub struct SampleCodes {
-    /// Count per symbol (index = code; code 0 = unpredictable).
-    pub histogram: Vec<u64>,
+    /// Symbols observed, ascending (code 0 = unpredictable).
+    pub symbols: Vec<u32>,
+    /// Count per entry of `symbols` (each > 0).
+    pub counts: Vec<u64>,
     /// Number of points sampled.
     pub n_sampled: usize,
     /// Total points in the partition.
@@ -44,14 +46,13 @@ impl SampleCodes {
 
     /// Shannon entropy of the sampled code distribution, bits/point.
     pub fn entropy_bits(&self) -> f64 {
-        let total: u64 = self.histogram.iter().sum();
+        let total: u64 = self.counts.iter().sum();
         if total == 0 {
             return 0.0;
         }
         let t = total as f64;
-        self.histogram
+        self.counts
             .iter()
-            .filter(|&&c| c > 0)
             .map(|&c| {
                 let p = c as f64 / t;
                 -p * p.log2()
@@ -61,7 +62,7 @@ impl SampleCodes {
 
     /// Number of distinct codes observed.
     pub fn distinct_codes(&self) -> usize {
-        self.histogram.iter().filter(|&&c| c > 0).count()
+        self.symbols.len()
     }
 
     /// Fraction of sampled points that fell outside the codebook.
@@ -130,21 +131,9 @@ pub fn sample_quantization<T: Element>(
     let floor = (MIN_SAMPLE_POINTS as f64 / data.len() as f64).min(1.0);
     let frac = sample_fraction.clamp(1e-4, 1.0).max(floor);
 
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    // Range scan over a stride to keep the pre-pass cheap on huge arrays.
-    let range_stride = (data.len() / 65536).max(1);
-    for i in (0..data.len()).step_by(range_stride) {
-        let v = data[i].to_f64();
-        if v.is_finite() {
-            min = min.min(v);
-            max = max.max(v);
-        }
-    }
-    if !min.is_finite() {
-        min = 0.0;
-        max = 0.0;
-    }
-    let eb = cfg.error_bound.resolve(min, max)?;
+    // The bound the compressor will resolve: absolute bounds pass
+    // through, relative ones scan the whole partition's range.
+    let eb = cfg.error_bound.resolve_for(data)?;
     let quant = Quantizer::new(eb, cfg.radius);
     let lorenzo = Lorenzo::new(dims);
     let st: Strides = *lorenzo.strides();
@@ -152,9 +141,7 @@ pub fn sample_quantization<T: Element>(
     // Widen data to f64 lazily via closure on index.
     let at = |i: usize| data[i].to_f64();
 
-    let mut histogram = vec![0u64; quant.alphabet()];
     let mut n_sampled = 0usize;
-    let mut n_unpred = 0usize;
     let mut n_runs = 0usize;
     let mut last_code: Option<u32> = None;
 
@@ -165,6 +152,13 @@ pub fn sample_quantization<T: Element>(
     let n_blocks = bz * by * bx;
     let step = ((1.0 / frac).round() as usize).clamp(1, n_blocks);
 
+    // One histogram per call: a per-thread one kept across calls saved
+    // little and held resident memory in every rank thread, which the
+    // engine spawns afresh each step. `present` lists the codes hit,
+    // so nothing after the pass scans the alphabet.
+    let mut freqs = vec![0u64; quant.alphabet()];
+    let mut present: Vec<u32> = Vec::new();
+    let mut brecon: Vec<f64> = Vec::new();
     let mut block_idx = 0usize;
     for zb in 0..bz {
         for yb in 0..by {
@@ -180,10 +174,11 @@ pub fn sample_quantization<T: Element>(
                 let z1 = (z0 + BLOCK).min(st.ext[0]);
                 let y1 = (y0 + BLOCK).min(st.ext[1]);
                 let x1 = (x0 + BLOCK).min(st.ext[2]);
-                // Block-local reconstruction buffer (row-major over the
-                // block extents).
+                // Block-local reconstruction buffer (row-major over
+                // the block extents); every entry is written before
+                // it is read.
                 let (lbz, lby, lbx) = (z1 - z0, y1 - y0, x1 - x0);
-                let mut brecon = vec![0.0f64; lbz * lby * lbx];
+                brecon.resize(lbz * lby * lbx, 0.0);
                 let bidx =
                     |z: usize, y: usize, x: usize| ((z - z0) * lby + (y - y0)) * lbx + (x - x0);
                 for z in z0..z1 {
@@ -226,22 +221,20 @@ pub fn sample_quantization<T: Element>(
                                 pred += nb(z - 1, y - 1, x - 1);
                             }
                             n_sampled += 1;
-                            let code = match if xv.is_finite() {
+                            let (code, recon) = match if xv.is_finite() {
                                 quant.quantize(xv, pred)
                             } else {
                                 None
                             } {
-                                Some((code, recon)) => {
-                                    brecon[bidx(z, y, x)] = recon;
-                                    code
-                                }
-                                None => {
-                                    brecon[bidx(z, y, x)] = if xv.is_finite() { xv } else { 0.0 };
-                                    n_unpred += 1;
-                                    0
-                                }
+                                Some(cr) => cr,
+                                None => (UNPREDICTABLE, if xv.is_finite() { xv } else { 0.0 }),
                             };
-                            histogram[code as usize] += 1;
+                            brecon[bidx(z, y, x)] = recon;
+                            let f = &mut freqs[code as usize];
+                            if *f == 0 {
+                                present.push(code);
+                            }
+                            *f += 1;
                             if last_code != Some(code) {
                                 n_runs += 1;
                                 last_code = Some(code);
@@ -252,12 +245,14 @@ pub fn sample_quantization<T: Element>(
             }
         }
     }
-
+    present.sort_unstable();
+    let counts: Vec<u64> = present.iter().map(|&c| freqs[c as usize]).collect();
     Ok(SampleCodes {
-        histogram,
+        symbols: present,
+        counts,
         n_sampled,
         n_total: data.len(),
-        n_unpredictable: n_unpred,
+        n_unpredictable: freqs[UNPREDICTABLE as usize] as usize,
         n_runs,
         eb,
         alphabet: quant.alphabet(),
@@ -343,7 +338,24 @@ mod tests {
     fn histogram_sums_to_sampled() {
         let data = ramp(5000);
         let s = sample_quantization(&data, &Dims::d2(50, 100), &Config::abs(0.05), 0.3).unwrap();
-        let total: u64 = s.histogram.iter().sum();
+        let total: u64 = s.counts.iter().sum();
         assert_eq!(total as usize, s.n_sampled);
+        assert!(s.symbols.windows(2).all(|w| w[0] < w[1]));
+        assert!(s.counts.iter().all(|&c| c > 0));
+    }
+
+    #[test]
+    fn sampling_resolves_the_compressor_bound() {
+        // A range-relative bound on a partition above 65,536 points,
+        // with the maximum at an odd index: the sample must quantize
+        // at exactly the bound compression resolves.
+        let n = 1 << 17;
+        let mut data: Vec<f32> = (0..n).map(|i| (i as f32 * 1e-3).sin()).collect();
+        data[77_777] = 40.0;
+        let dims = Dims::d1(n);
+        let cfg = Config::rel(1e-3);
+        let s = sample_quantization(&data, &dims, &cfg, 0.05).unwrap();
+        let (_, st) = crate::compress_with_stats(&data, &dims, &cfg).unwrap();
+        assert_eq!(s.eb, st.eb);
     }
 }
