@@ -29,6 +29,7 @@
 //! (chunk side, must divide side, default 16), `BENCH_WORKERS`
 //! (default `1,2,4,8`), `BENCH_REPS` (default 3), `BENCH_OUT`.
 
+use bench::setup::{best_of, env_usize};
 use h5lite::{
     compress_chunks, BufferPool, DatasetSpec, Dtype, EventSet, FilterRegistry, FilterSpec, H5File,
     SzFilterParams, SZLITE_FILTER_ID,
@@ -36,16 +37,8 @@ use h5lite::{
 use pfsim::{SharedFile, Throttle};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use workloads::{nyx, NyxParams};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -53,17 +46,6 @@ fn tmp(name: &str) -> std::path::PathBuf {
         std::process::id(),
         name
     ))
-}
-
-/// Run `f` `reps` times, returning the fastest wall-clock seconds.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
 }
 
 struct Setup {

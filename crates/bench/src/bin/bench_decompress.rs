@@ -37,18 +37,10 @@
 //! 16), `BENCH_WORKERS` (default `1,2,4,8`), `BENCH_REPS` (default 3),
 //! `BENCH_OUT`.
 
+use bench::setup::{best_of, env_usize};
 use h5lite::{DatasetSpec, Dtype, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID};
 use std::fmt::Write as _;
-use std::time::Instant;
 use workloads::{nyx, rtm, vpic, NyxParams, RtmParams, VpicParams};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -56,17 +48,6 @@ fn tmp(name: &str) -> std::path::PathBuf {
         std::process::id(),
         name
     ))
-}
-
-/// Run `f` `reps` times, returning the fastest wall-clock seconds.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
 }
 
 struct Tile {

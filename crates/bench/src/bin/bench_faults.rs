@@ -22,6 +22,7 @@
 //! `BENCH_SEED` (default 0xF0CC), `BENCH_OUT`.
 
 use bench::partition_stream_step;
+use bench::setup::env_usize;
 use pfsim::{Fault, FaultFs, FaultPlan, SplitMix64};
 use predwrite::verify_file;
 use ratiomodel::OnlineConfig;
@@ -30,14 +31,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use timeline::{resume_timeline, run_timeline, AdaptMode, StepFaults, TimelineConfig};
 use workloads::SnapshotStream;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)

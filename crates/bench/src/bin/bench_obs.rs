@@ -15,8 +15,8 @@
 //!    and every nested span (depth > 0) is contained in an enclosing
 //!    span on the same thread.
 //! 3. **Flight recorder.** The per-step `step-NNNN.obs.jsonl` records
-//!    are read back and their reserved/waste/overflow byte totals are
-//!    asserted to byte-match the engine's own `TimelineReport`.
+//!    are read back and each is asserted equal, field for field, to
+//!    the engine's own `TimelineReport` row for that step.
 //!
 //! Writes machine-readable results to `BENCH_obs.json` (override with
 //! `BENCH_OUT`).
@@ -30,20 +30,13 @@
 //! default 32), `BENCH_RANKS` (default 4), `BENCH_OUT`, `OBS_TRACE`.
 
 use bench::partition_stream_step;
+use bench::setup::env_usize;
 use predwrite::RankFieldData;
 use ratiomodel::OnlineConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
 use timeline::{run_timeline, AdaptMode, TimelineConfig};
 use workloads::SnapshotStream;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// Per-call cost of a disabled span guard, in nanoseconds, and the
 /// wall-clock of one serial compress of `field`, in seconds.
@@ -185,24 +178,15 @@ fn main() {
     );
     assert!(trace_max_depth >= 1, "no nested spans recorded");
 
-    // 3. Flight records byte-match the engine's own report.
-    let mut flight_records = 0usize;
-    for m in &report.steps {
-        let fpath = obs::flight_path(&cfg.step_path(m.step));
+    // 3. Every flight record read back equals its report row.
+    for (i, row) in report.steps.iter().enumerate() {
+        let fpath = obs::flight_path(&cfg.step_path(i));
         let scan = obs::read_flight(&fpath).unwrap_or_else(|e| panic!("read {fpath:?}: {e}"));
         assert!(scan.errors.is_empty(), "flight errors: {:?}", scan.errors);
-        let rec = scan.records.last().expect("one record per step");
-        assert_eq!(rec.reserved_bytes, m.reserved_bytes, "step {}", m.step);
-        assert_eq!(rec.waste_bytes, m.waste_bytes, "step {}", m.step);
-        assert_eq!(
-            rec.overflow_bytes, m.result.overflow_bytes,
-            "step {}",
-            m.step
-        );
-        assert_eq!(rec.file_bytes, m.result.file_bytes, "step {}", m.step);
-        flight_records += 1;
+        assert_eq!(scan.records.last(), Some(row), "step {i}");
     }
-    println!("flight: {flight_records} record(s) byte-match the timeline report");
+    let flight_records = report.steps.len();
+    println!("flight: {flight_records} record(s) equal the timeline report rows");
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut j = String::new();
@@ -221,17 +205,10 @@ fn main() {
     let _ = writeln!(j, "  \"trace_threads\": {trace_threads},");
     let _ = writeln!(j, "  \"trace_max_depth\": {trace_max_depth},");
     let _ = writeln!(j, "  \"flight_records\": {flight_records},");
-    let _ = writeln!(
-        j,
-        "  \"total_reserved_bytes\": {},",
-        report.steps.iter().map(|s| s.reserved_bytes).sum::<u64>()
-    );
-    let _ = writeln!(j, "  \"total_waste_bytes\": {},", report.total_waste());
-    let _ = writeln!(
-        j,
-        "  \"total_overflow_bytes\": {}",
-        report.total_overflow_bytes()
-    );
+    let totals = obs::StepTotals::of(&report.steps);
+    let _ = writeln!(j, "  \"total_reserved_bytes\": {},", totals.reserved_bytes);
+    let _ = writeln!(j, "  \"total_waste_bytes\": {},", totals.waste_bytes);
+    let _ = writeln!(j, "  \"total_overflow_bytes\": {}", totals.overflow_bytes);
     let _ = writeln!(j, "}}");
     std::fs::write(&out_path, &j).unwrap();
     println!("wrote {out_path}");

@@ -38,20 +38,14 @@
 //! (default 6), `BENCH_REPS` (planner-timing repetitions, default 3),
 //! `BENCH_OUT`.
 
+use bench::setup::env_usize;
+use obs::StepTotals;
 use predwrite::{
     simulate_stream, AdaptMode, PartitionProfile, ReservationTopology, SimParams, StreamSimConfig,
     StreamSimReport,
 };
 use ratiomodel::{OnlineConfig, ThroughputModel};
 use std::fmt::Write as _;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn env_ranks_list(default: &[usize]) -> Vec<usize> {
     let parsed: Vec<usize> = std::env::var("BENCH_RANKS_LIST")
@@ -148,6 +142,7 @@ fn run_config(
 fn config_json(c: &ConfigRun) -> String {
     let r = &c.report;
     let last_err = r.steps.last().map_or(0.0, |s| s.mean_rel_err);
+    let t = StepTotals::of(&r.steps);
     let mut j = String::new();
     let _ = writeln!(j, "        {{");
     let _ = writeln!(j, "          \"mode\": \"{}\",", c.mode);
@@ -158,31 +153,19 @@ fn config_json(c: &ConfigRun) -> String {
         "          \"collective_bytes_per_rank\": {},",
         r.collective_bytes_per_rank
     );
-    let _ = writeln!(
-        j,
-        "          \"file_bytes\": {},",
-        r.steps.iter().map(|s| s.file_bytes).sum::<u64>()
-    );
-    let _ = writeln!(
-        j,
-        "          \"compressed_bytes\": {},",
-        r.steps.iter().map(|s| s.compressed_bytes).sum::<u64>()
-    );
-    let _ = writeln!(j, "          \"waste_bytes\": {},", r.total_waste_bytes());
-    let _ = writeln!(
-        j,
-        "          \"overflow_bytes\": {},",
-        r.total_overflow_bytes()
-    );
+    let _ = writeln!(j, "          \"file_bytes\": {},", t.file_bytes);
+    let _ = writeln!(j, "          \"compressed_bytes\": {},", t.actual_bytes);
+    let _ = writeln!(j, "          \"waste_bytes\": {},", t.waste_bytes);
+    let _ = writeln!(j, "          \"overflow_bytes\": {},", t.overflow_bytes);
     let _ = writeln!(
         j,
         "          \"overflow_partitions\": {},",
-        r.total_overflow_partitions()
+        t.overflow_parts
     );
     let _ = writeln!(
         j,
         "          \"mean_step_secs\": {:.6},",
-        r.mean_step_time()
+        t.total_secs / r.steps.len() as f64
     );
     let _ = writeln!(j, "          \"final_rel_err\": {last_err:.6}");
     let _ = write!(j, "        }}");
@@ -238,13 +221,14 @@ fn main() {
         // times legitimately differ — the two-level collective has a
         // different latency — so compare the byte-level fields only.)
         for (a, b) in runs[0].report.steps.iter().zip(&runs[1].report.steps) {
-            let bytes = |s: &predwrite::StreamStepStats| {
+            let bytes = |s: &obs::StepFlight| {
                 (
                     s.file_bytes,
-                    s.compressed_bytes,
+                    s.actual_bytes,
+                    s.reserved_bytes,
                     s.waste_bytes,
                     s.overflow_bytes,
-                    s.n_overflow,
+                    s.overflow_parts,
                 )
             };
             assert_eq!(
@@ -260,15 +244,16 @@ fn main() {
             "mode", "topo", "planner-s", "wire-B/rank", "waste", "overflows", "overflow-B"
         );
         for c in &runs {
+            let t = StepTotals::of(&c.report.steps);
             println!(
                 "{:<10} {:<8} {:>12.6} {:>12} {:>12} {:>10} {:>12}",
                 c.mode,
                 c.topology,
                 c.report.planner_seconds,
                 c.report.collective_bytes_per_rank,
-                c.report.total_waste_bytes(),
-                c.report.total_overflow_partitions(),
-                c.report.total_overflow_bytes()
+                t.waste_bytes,
+                t.overflow_parts,
+                t.overflow_bytes
             );
         }
 
@@ -286,24 +271,25 @@ fn main() {
 
         // 4. Adaptive beats static on both space metrics at 512+.
         if nranks >= 512 {
-            let (s, a) = (&runs[1].report, &runs[2].report);
+            let s = StepTotals::of(&runs[1].report.steps);
+            let a = StepTotals::of(&runs[2].report.steps);
             assert!(
-                a.total_waste_bytes() < s.total_waste_bytes(),
+                a.waste_bytes < s.waste_bytes,
                 "{nranks} ranks: adaptive waste {} not below static {}",
-                a.total_waste_bytes(),
-                s.total_waste_bytes()
+                a.waste_bytes,
+                s.waste_bytes
             );
             assert!(
-                a.total_overflow_bytes() < s.total_overflow_bytes(),
+                a.overflow_bytes < s.overflow_bytes,
                 "{nranks} ranks: adaptive overflow {} not below static {}",
-                a.total_overflow_bytes(),
-                s.total_overflow_bytes()
+                a.overflow_bytes,
+                s.overflow_bytes
             );
             assert!(
-                a.total_overflow_partitions() < s.total_overflow_partitions(),
+                a.overflow_parts < s.overflow_parts,
                 "{nranks} ranks: adaptive overflow events {} not below static {}",
-                a.total_overflow_partitions(),
-                s.total_overflow_partitions()
+                a.overflow_parts,
+                s.overflow_parts
             );
         }
 

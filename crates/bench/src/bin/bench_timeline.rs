@@ -25,19 +25,13 @@
 //! `BENCH_OUT`.
 
 use bench::partition_stream_step;
+use bench::setup::env_usize;
+use obs::StepTotals;
 use predwrite::RankFieldData;
 use ratiomodel::OnlineConfig;
 use std::fmt::Write as _;
 use timeline::{run_timeline, AdaptMode, TimelineConfig, TimelineReport};
 use workloads::SnapshotStream;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn run_mode(
     stream: &SnapshotStream,
@@ -60,32 +54,25 @@ fn run_mode(
 }
 
 fn mode_json(r: &TimelineReport) -> String {
+    let t = StepTotals::of(&r.steps);
     let mut j = String::new();
     let _ = writeln!(j, "      {{");
     let _ = writeln!(j, "        \"mode\": \"{}\",", r.mode);
-    let _ = writeln!(j, "        \"total_secs\": {:.6},", r.total_time());
-    let _ = writeln!(j, "        \"file_bytes\": {},", r.total_file_bytes());
-    let _ = writeln!(
-        j,
-        "        \"compressed_bytes\": {},",
-        r.total_compressed_bytes()
-    );
-    let _ = writeln!(j, "        \"waste_bytes\": {},", r.total_waste());
-    let _ = writeln!(j, "        \"overflows\": {},", r.total_overflows());
-    let _ = writeln!(
-        j,
-        "        \"overflow_bytes\": {},",
-        r.total_overflow_bytes()
-    );
+    let _ = writeln!(j, "        \"total_secs\": {:.6},", t.total_secs);
+    let _ = writeln!(j, "        \"file_bytes\": {},", t.file_bytes);
+    let _ = writeln!(j, "        \"compressed_bytes\": {},", t.actual_bytes);
+    let _ = writeln!(j, "        \"waste_bytes\": {},", t.waste_bytes);
+    let _ = writeln!(j, "        \"overflows\": {},", t.overflow_parts);
+    let _ = writeln!(j, "        \"overflow_bytes\": {},", t.overflow_bytes);
     let _ = writeln!(j, "        \"per_step\": [");
     for (i, s) in r.steps.iter().enumerate() {
         let _ = writeln!(
             j,
             "          {{\"step\": {}, \"secs\": {:.6}, \"waste_bytes\": {}, \"overflows\": {}, \"rel_err\": {:.6}}}{}",
             s.step,
-            s.result.total_time,
+            s.total_secs,
             s.waste_bytes,
-            s.result.n_overflow,
+            s.overflow_parts,
             s.mean_rel_err,
             if i + 1 < r.steps.len() { "," } else { "" }
         );
@@ -133,34 +120,31 @@ fn main() {
             "{:<10} {:>12} {:>12} {:>10} {:>10}",
             "mode", "file-bytes", "waste", "overflows", "secs"
         );
-        for r in [&stat, &adap] {
+        let (st, at) = (StepTotals::of(&stat.steps), StepTotals::of(&adap.steps));
+        for (r, t) in [(&stat, st), (&adap, at)] {
             println!(
                 "{:<10} {:>12} {:>12} {:>10} {:>9.2}s",
-                r.mode,
-                r.total_file_bytes(),
-                r.total_waste(),
-                r.total_overflows(),
-                r.total_time()
+                r.mode, t.file_bytes, t.waste_bytes, t.overflow_parts, t.total_secs
             );
         }
-        let saved = stat.total_waste().saturating_sub(adap.total_waste());
+        let saved = st.waste_bytes.saturating_sub(at.waste_bytes);
         println!(
             "adaptive saves {saved} waste bytes ({:.1}% of static waste)",
-            100.0 * saved as f64 / stat.total_waste().max(1) as f64
+            100.0 * saved as f64 / st.waste_bytes.max(1) as f64
         );
         assert!(
-            adap.total_waste() < stat.total_waste(),
+            at.waste_bytes < st.waste_bytes,
             "{}: adaptive waste {} not below static {}",
             stream.label(),
-            adap.total_waste(),
-            stat.total_waste()
+            at.waste_bytes,
+            st.waste_bytes
         );
         assert!(
-            adap.total_overflows() <= stat.total_overflows(),
+            at.overflow_parts <= st.overflow_parts,
             "{}: adaptive overflows {} exceed static {}",
             stream.label(),
-            adap.total_overflows(),
-            stat.total_overflows()
+            at.overflow_parts,
+            st.overflow_parts
         );
 
         let mut b = String::new();

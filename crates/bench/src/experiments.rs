@@ -652,3 +652,16 @@ pub fn all(scale: ExperimentScale) {
     fig18(scale);
     headline(scale);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig16_method_ordering_matches_paper_on_nyx_at_512_ranks() {
+        let results = fig16_results(ExperimentScale::Quick);
+        let t = |m: Method| results.iter().find(|r| r.method == m).unwrap().total_time;
+        assert!(t(Method::NoCompression) > t(Method::OverlapReorder));
+        assert!(t(Method::FilterCollective) > t(Method::OverlapReorder));
+    }
+}

@@ -1,5 +1,5 @@
 //! # bench — experiment harness shared by the `repro` binary and the
-//! Criterion benches.
+//! `bench_*` binaries.
 //!
 //! Each paper table/figure has a corresponding experiment function in
 //! [`experiments`]; shared workload/profile construction lives in

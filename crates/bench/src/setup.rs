@@ -12,9 +12,32 @@ use predwrite::{
 use ratiomodel::Models;
 use ratiomodel::ThroughputModel;
 use std::path::PathBuf;
+use std::time::Instant;
 use szlite::{compress_with_stats, Config, Dims};
 pub use timeline::{partition_1d, partition_3d, partition_stream_step};
 use workloads::{nyx, vpic, Decomposition, NyxParams, VpicParams};
+
+/// Positive integer knob `name` of a bench binary: the parsed value
+/// of the environment variable, or `default` when it is unset,
+/// unparsable or zero.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
+
+/// Fastest wall-clock seconds of `reps` runs of `f`.
+pub fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
+}
 
 /// The demo [`RealConfig`] shared by the real-engine examples: one
 /// relative bound of 1e-3 per field, paper-reference models with a

@@ -278,48 +278,37 @@ fn obs_artifact_has_the_overhead_and_trace_schema() {
 fn generated_flight_records_byte_match_the_timeline_report() {
     use timeline::{run_timeline, AdaptMode, TimelineConfig};
 
-    let dir = std::env::temp_dir().join(format!("bench-schema-flight-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let stream = workloads::SnapshotStream::nyx(12);
     let nranks = 2;
     let data: Vec<_> = (0..3)
         .map(|s| bench::partition_stream_step(&stream, s, nranks))
         .collect();
-    let mut cfg = TimelineConfig::quick(3, data[0][0].len(), AdaptMode::Static, dir.clone());
-    cfg.keep_files = true;
-    let report = run_timeline(&cfg, |s| &data[s]).expect("timeline run");
-
-    for m in &report.steps {
-        let fpath = obs::flight_path(&cfg.step_path(m.step));
-        let scan = obs::read_flight(&fpath).unwrap_or_else(|e| panic!("read {fpath:?}: {e}"));
-        assert!(scan.errors.is_empty(), "flight errors: {:?}", scan.errors);
-        let rec = scan.records.last().expect("one record per step");
-        // Byte fields mirror StepMetrics exactly.
-        assert_eq!(rec.step, m.step as u64);
-        assert_eq!(rec.reserved_bytes, m.reserved_bytes);
-        assert_eq!(rec.waste_bytes, m.waste_bytes);
-        assert_eq!(rec.predicted_bytes, m.predicted_bytes);
-        assert_eq!(rec.actual_bytes, m.actual_bytes);
-        assert_eq!(rec.overflow_bytes, m.result.overflow_bytes);
-        assert_eq!(rec.overflow_parts, m.result.n_overflow as u64);
-        assert_eq!(rec.file_bytes, m.result.file_bytes);
-        // Timings and derived figures survive the JSON round trip as
-        // finite numbers, and provenance is recorded.
-        for v in [
-            rec.predict_secs,
-            rec.planner_secs,
-            rec.compress_secs,
-            rec.write_secs,
-            rec.overflow_secs,
-            rec.verify_secs,
-            rec.total_secs,
-            rec.mean_rel_err,
-        ] {
-            assert!(v.is_finite() && v >= 0.0, "bad timing {v}");
+    for mode in [
+        AdaptMode::Static,
+        AdaptMode::Adaptive(ratiomodel::OnlineConfig::default()),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "bench-schema-flight-{}-{}",
+            std::process::id(),
+            mode.label()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = TimelineConfig::quick(3, data[0][0].len(), mode, dir.clone());
+        cfg.keep_files = true;
+        let report = run_timeline(&cfg, |s| &data[s]).expect("timeline run");
+        assert_eq!(report.steps.len(), 3);
+        for (i, row) in report.steps.iter().enumerate() {
+            let fpath = obs::flight_path(&cfg.step_path(i));
+            let scan = obs::read_flight(&fpath).unwrap_or_else(|e| panic!("read {fpath:?}: {e}"));
+            assert!(scan.errors.is_empty(), "flight errors: {:?}", scan.errors);
+            // The flight line read back is the report row, every field
+            // and every f64 bit included.
+            assert_eq!(scan.records.last(), Some(row), "{} step {i}", mode.label());
+            assert_eq!(row.step, i);
+            assert!(row.host_parallelism >= 1);
+            // Every step exchanges reservation sizes over the wire.
+            assert!(row.collective_wire_bytes > 0);
         }
-        assert!(rec.host_parallelism >= 1);
-        // Every step exchanges reservation sizes over the wire.
-        assert!(rec.collective_wire_bytes > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

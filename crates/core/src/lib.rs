@@ -47,7 +47,7 @@ pub mod sim;
 pub mod verify;
 
 pub use extraspace::{weight_to_rspace, ExtraSpacePolicy, RSPACE_MAX, RSPACE_MIN};
-pub use metrics::{Breakdown, Method, RunResult};
+pub use metrics::{mean_rel_err, step_record, Breakdown, Method, RunResult};
 pub use plan::{
     build_rank_view, fit_split, plan_overflow, reservation_wire_bytes, FitSplit,
     PartitionPrediction, PartitionSlot, RankPlanView, WritePlan,
@@ -60,6 +60,5 @@ pub use real::{
 pub use scheduler::{identity_order, optimize_order, queue_time};
 pub use sim::{
     simulate_all, simulate_method, simulate_stream, SimParams, StreamSimConfig, StreamSimReport,
-    StreamStepStats,
 };
 pub use verify::{verify_file, FieldReport, VerifyReport};

@@ -114,6 +114,45 @@ impl RunResult {
     }
 }
 
+/// Mean relative size-prediction error `|predicted − actual| / actual`
+/// over `(predicted, actual)` partition pairs, skipping empty
+/// partitions (0 when there are none).
+pub fn mean_rel_err(pairs: impl IntoIterator<Item = (u64, u64)>) -> f64 {
+    let (mut sum, mut n) = (0.0, 0usize);
+    for (predicted, actual) in pairs.into_iter().filter(|&(_, a)| a > 0) {
+        sum += (predicted as f64 - actual as f64).abs() / actual as f64;
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// The fields of step `step`'s record that the engine result decides:
+/// raw, actual, file and overflow bytes, overflow parts and the phase
+/// times. Both the real timeline and the simulated stream start their
+/// rows here and fill in what only they know.
+pub fn step_record(step: usize, r: &RunResult) -> obs::StepFlight {
+    obs::StepFlight {
+        step,
+        actual_bytes: r.compressed_bytes,
+        overflow_bytes: r.overflow_bytes,
+        overflow_parts: r.n_overflow as u64,
+        raw_bytes: r.raw_bytes,
+        file_bytes: r.file_bytes,
+        predict_secs: r.breakdown.predict,
+        planner_secs: r.breakdown.allgather,
+        compress_secs: r.breakdown.compress,
+        write_secs: r.breakdown.write,
+        overflow_secs: r.breakdown.overflow,
+        verify_secs: r.breakdown.verify,
+        total_secs: r.total_time,
+        ..obs::StepFlight::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

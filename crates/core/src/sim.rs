@@ -6,7 +6,7 @@
 //! discrete-event pipeline simulator of `pfsim`.
 
 use crate::extraspace::ExtraSpacePolicy;
-use crate::metrics::{Breakdown, Method, RunResult};
+use crate::metrics::{mean_rel_err, step_record, Breakdown, Method, RunResult};
 use crate::plan::{
     build_rank_view, fit_split, reservation_wire_bytes, PartitionPrediction, WritePlan,
 };
@@ -314,27 +314,6 @@ pub struct StreamSimConfig {
     pub reorder: bool,
 }
 
-/// Per-step outcome of a simulated stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamStepStats {
-    /// Step index.
-    pub step: usize,
-    /// Simulated wall-clock of the step, seconds.
-    pub total_time: f64,
-    /// Bytes the step's file occupies (reservations + overflow).
-    pub file_bytes: u64,
-    /// Actual compressed payload of the step.
-    pub compressed_bytes: u64,
-    /// Reserved-but-unused bytes (`file_bytes − compressed_bytes`).
-    pub waste_bytes: u64,
-    /// Bytes redirected to the overflow region.
-    pub overflow_bytes: u64,
-    /// Partitions that overflowed their reservation.
-    pub n_overflow: usize,
-    /// Mean relative size-prediction error over the step's partitions.
-    pub mean_rel_err: f64,
-}
-
 /// Full report of a simulated stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSimReport {
@@ -346,8 +325,12 @@ pub struct StreamSimReport {
     pub nranks: usize,
     /// Fields per rank.
     pub nfields: usize,
-    /// Per-step outcomes, in step order.
-    pub steps: Vec<StreamStepStats>,
+    /// Per-step records, in step order. A simulated step fills the
+    /// fields it models (phase and total times; raw, reserved, waste,
+    /// actual, file and overflow bytes; overflow parts; prediction
+    /// error); the predicted, host, queue, wire and fault fields
+    /// stay 0.
+    pub steps: Vec<obs::StepFlight>,
     /// Measured wall-clock of the representative rank's planner work,
     /// summed over steps (layout derivation only, not the simulated
     /// pipeline). Flat topology times the full
@@ -359,32 +342,6 @@ pub struct StreamSimReport {
     /// Modeled reservation-collective traffic per rank per step, bytes
     /// (see [`reservation_wire_bytes`]).
     pub collective_bytes_per_rank: u64,
-}
-
-impl StreamSimReport {
-    /// Total reserved-but-unused bytes across the stream.
-    pub fn total_waste_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.waste_bytes).sum()
-    }
-
-    /// Total overflow bytes across the stream.
-    pub fn total_overflow_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.overflow_bytes).sum()
-    }
-
-    /// Total overflowed partitions across the stream.
-    pub fn total_overflow_partitions(&self) -> usize {
-        self.steps.iter().map(|s| s.n_overflow).sum()
-    }
-
-    /// Mean simulated step time, seconds.
-    pub fn mean_step_time(&self) -> f64 {
-        if self.steps.is_empty() {
-            0.0
-        } else {
-            self.steps.iter().map(|s| s.total_time).sum::<f64>() / self.steps.len() as f64
-        }
-    }
 }
 
 /// Stream `cfg.steps` simulated checkpoints over
@@ -431,8 +388,6 @@ where
         // reserves `ceil(bytes · h)`, warm-up falls back to the policy.
         let mut preds = vec![Vec::with_capacity(nfields); nranks];
         let mut reserves = vec![Vec::with_capacity(nfields); nranks];
-        let mut err_sum = 0.0;
-        let mut err_n = 0usize;
         for (r, fields) in profiles.iter().enumerate() {
             for (f, p) in fields.iter().enumerate() {
                 let (bytes, ratio, headroom) = match (&cfg.mode, &online) {
@@ -447,10 +402,6 @@ where
                     Some(h) if h > 0.0 => (bytes as f64 * h).ceil() as u64,
                     _ => cfg.params.policy.reserve_bytes(bytes, ratio),
                 };
-                if p.actual_bytes > 0 {
-                    err_sum += (bytes as f64 - p.actual_bytes as f64).abs() / p.actual_bytes as f64;
-                    err_n += 1;
-                }
                 preds[r].push(PartitionPrediction { bytes, ratio });
                 reserves[r].push(reserve);
             }
@@ -493,19 +444,16 @@ where
 
         let ag = cfg.params.reservation_collective_time(nranks, gsize);
         let result = sim_overlap_planned(profiles, &cfg.params, cfg.reorder, &plan, ag);
-        steps.push(StreamStepStats {
-            step,
-            total_time: result.total_time,
-            file_bytes: result.file_bytes,
-            compressed_bytes: result.compressed_bytes,
+        steps.push(obs::StepFlight {
+            reserved_bytes: plan.reserved_total(),
             waste_bytes: result.file_bytes.saturating_sub(result.compressed_bytes),
-            overflow_bytes: result.overflow_bytes,
-            n_overflow: result.n_overflow,
-            mean_rel_err: if err_n == 0 {
-                0.0
-            } else {
-                err_sum / err_n as f64
-            },
+            mean_rel_err: mean_rel_err(
+                profiles
+                    .iter()
+                    .zip(&preds)
+                    .flat_map(|(ps, pr)| pr.iter().zip(ps).map(|(q, p)| (q.bytes, p.actual_bytes))),
+            ),
+            ..step_record(step, &result)
         });
 
         // Feed the step's actual sizes back into the predictor.
@@ -540,6 +488,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::StepTotals;
 
     /// Synthetic profile set: `nranks` ranks × `nfields` fields with a
     /// spread of sizes and compression times. Partition size matches
@@ -740,12 +689,13 @@ mod tests {
             &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
             |_| &profiles,
         );
-        assert!(stat.total_overflow_partitions() > 0, "static must overflow");
+        let (st, at) = (StepTotals::of(&stat.steps), StepTotals::of(&adap.steps));
+        assert!(st.overflow_parts > 0, "static must overflow");
         assert!(
-            adap.total_overflow_bytes() < stat.total_overflow_bytes() / 2,
+            at.overflow_bytes < st.overflow_bytes / 2,
             "adaptive {} vs static {}",
-            adap.total_overflow_bytes(),
-            stat.total_overflow_bytes()
+            at.overflow_bytes,
+            st.overflow_bytes
         );
         // Error collapses once the bias correction kicks in.
         assert!(adap.steps.last().unwrap().mean_rel_err < adap.steps[0].mean_rel_err / 2.0);
@@ -753,7 +703,7 @@ mod tests {
         assert!(stat
             .steps
             .iter()
-            .all(|s| s.n_overflow == stat.steps[0].n_overflow));
+            .all(|s| s.overflow_parts == stat.steps[0].overflow_parts));
     }
 
     #[test]
@@ -770,16 +720,13 @@ mod tests {
             &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
             |_| &profiles,
         );
-        assert_eq!(
-            adap.total_overflow_bytes(),
-            0,
-            "stable history must not overflow"
-        );
+        let (st, at) = (StepTotals::of(&stat.steps), StepTotals::of(&adap.steps));
+        assert_eq!(at.overflow_bytes, 0, "stable history must not overflow");
         assert!(
-            adap.total_waste_bytes() < stat.total_waste_bytes(),
+            at.waste_bytes < st.waste_bytes,
             "adaptive {} vs static {}",
-            adap.total_waste_bytes(),
-            stat.total_waste_bytes()
+            at.waste_bytes,
+            st.waste_bytes
         );
     }
 
@@ -801,10 +748,11 @@ mod tests {
             );
             for (a, b) in flat.steps.iter().zip(&shard.steps) {
                 assert_eq!(a.file_bytes, b.file_bytes);
-                assert_eq!(a.compressed_bytes, b.compressed_bytes);
+                assert_eq!(a.actual_bytes, b.actual_bytes);
+                assert_eq!(a.reserved_bytes, b.reserved_bytes);
                 assert_eq!(a.waste_bytes, b.waste_bytes);
                 assert_eq!(a.overflow_bytes, b.overflow_bytes);
-                assert_eq!(a.n_overflow, b.n_overflow);
+                assert_eq!(a.overflow_parts, b.overflow_parts);
                 assert_eq!(a.mean_rel_err, b.mean_rel_err);
             }
             // Sharding shrinks the per-rank reservation wire traffic.

@@ -29,15 +29,27 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The newest readable flight record beside `container`, as a raw
-/// JSON object string, plus the count of unreadable lines.
-fn flight_summary(container: &str) -> (Option<String>, usize) {
+/// A failure that aborts the scrub (exit 2): one JSON object carrying
+/// `error` on stdout, or the `human` line on stderr.
+fn fail(json: bool, path: &str, error: String, human: String) -> ExitCode {
+    if json {
+        println!(
+            "{{\"path\": \"{}\", \"error\": \"{}\", \"exit\": 2}}",
+            escape(path),
+            escape(&error)
+        );
+    } else {
+        eprintln!("{human}");
+    }
+    ExitCode::from(2)
+}
+
+/// The newest readable flight record beside `container`, plus the
+/// count of unreadable lines.
+fn flight_summary(container: &str) -> (Option<obs::StepFlight>, usize) {
     let fpath = obs::flight_path(Path::new(container));
     match obs::read_flight(&fpath) {
-        Ok(scan) => (
-            scan.records.last().map(|r| r.to_json_line()),
-            scan.errors.len(),
-        ),
+        Ok(mut scan) => (scan.records.pop(), scan.errors.len()),
         Err(_) => (None, 0),
     }
 }
@@ -69,18 +81,7 @@ fn main() -> ExitCode {
 
     let report = match scrub(&path) {
         Ok(r) => r,
-        Err(e) => {
-            if json {
-                println!(
-                    "{{\"path\": \"{}\", \"error\": \"{}\", \"exit\": 2}}",
-                    escape(&path),
-                    escape(&e.to_string())
-                );
-            } else {
-                eprintln!("scrub {path}: {e}");
-            }
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(json, &path, e.to_string(), format!("scrub {path}: {e}")),
     };
 
     let classification = match &report.container {
@@ -119,11 +120,7 @@ fn main() -> ExitCode {
                 ChunkState::Ok => {}
             }
         }
-        if let Some(rec) = flight.as_deref().and_then(|l| {
-            obs::json::parse(l)
-                .ok()
-                .and_then(|v| obs::StepFlight::from_json(&v).ok())
-        }) {
+        if let Some(rec) = &flight {
             println!(
                 "  flight: step {} — {} retries, {} transient fault(s), {} escalation(s), \
                  queue depth max {}, {:.4}s total",
@@ -180,7 +177,9 @@ fn main() -> ExitCode {
                     None => "null".into(),
                 },
                 repair_json,
-                flight.as_deref().unwrap_or("null"),
+                flight
+                    .as_ref()
+                    .map_or_else(|| "null".to_string(), obs::StepFlight::to_json_line),
                 flight_bad_lines,
             );
         }
@@ -197,16 +196,8 @@ fn main() -> ExitCode {
                     quarantined_to = Some(dest.display().to_string());
                 }
                 Err(e) => {
-                    if json {
-                        println!(
-                            "{{\"path\": \"{}\", \"error\": \"quarantine: {}\", \"exit\": 2}}",
-                            escape(&path),
-                            escape(&e.to_string())
-                        );
-                    } else {
-                        eprintln!("quarantine {path}: {e}");
-                    }
-                    return ExitCode::from(2);
+                    let human = format!("quarantine {path}: {e}");
+                    return fail(json, &path, format!("quarantine: {e}"), human);
                 }
             }
         }
@@ -237,16 +228,8 @@ fn main() -> ExitCode {
                 }
             }
             Err(e) => {
-                if json {
-                    println!(
-                        "{{\"path\": \"{}\", \"error\": \"repair: {}\", \"exit\": 2}}",
-                        escape(&path),
-                        escape(&e.to_string())
-                    );
-                } else {
-                    eprintln!("repair {path}: {e}");
-                }
-                return ExitCode::from(2);
+                let human = format!("repair {path}: {e}");
+                return fail(json, &path, format!("repair: {e}"), human);
             }
         }
     }

@@ -25,7 +25,7 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use flight::{flight_path, read_flight, FlightError, FlightScan, StepFlight};
+pub use flight::{flight_path, read_flight, FlightError, FlightScan, StepFlight, StepTotals};
 pub use json::Json;
 pub use metrics::{counter, gauge, histogram, snapshot, Counter, Gauge, Histogram, Snapshot};
 pub use trace::{enabled, export_env, set_enabled, span, span_arg, Span, SpanEvent};

@@ -60,7 +60,7 @@ proptest! {
     #[test]
     fn flight_reader_survives_arbitrary_garbage_lines(
         garbage in proptest::collection::vec(proptest::collection::vec(0u64..=255, 0..60), 0..6),
-        step in 0u64..10_000,
+        step in 0usize..10_000,
     ) {
         let rec = obs::StepFlight { step, host_parallelism: 1, ..Default::default() };
         let dir = std::env::temp_dir().join(format!("obs_props_{}", std::process::id()));

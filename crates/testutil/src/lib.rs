@@ -7,8 +7,9 @@
 
 use std::path::{Path, PathBuf};
 
-/// RAII guard around a temp-dir file path: the file (if it exists) is
-/// removed when the guard is dropped, even if the test panicked.
+/// RAII guard around a temp-dir path: the file or directory (if it
+/// exists) is removed when the guard is dropped, even if the test
+/// panicked.
 ///
 /// ```
 /// let t = testutil::TempPath::new("doc", "h5l");
@@ -43,7 +44,12 @@ impl TempPath {
 
 impl Drop for TempPath {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        // A test may also use the path as a directory of step files.
+        if self.path.is_dir() {
+            let _ = std::fs::remove_dir_all(&self.path);
+        } else {
+            let _ = std::fs::remove_file(&self.path);
+        }
     }
 }
 

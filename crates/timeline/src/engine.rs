@@ -12,11 +12,11 @@
 //! sharpens (and reservations tighten) as history accumulates.
 
 use crate::adaptive::OnlineSource;
-use crate::metrics::{StepMetrics, TimelineReport};
+use crate::metrics::{step_row, TimelineReport};
 use pfsim::{BandwidthModel, FaultFs};
 use predwrite::{
-    run_real_with, ExtraSpacePolicy, Method, ModelSource, RankFieldData, RealConfig, RealError,
-    ReservationTopology,
+    mean_rel_err, run_real_with, ExtraSpacePolicy, Method, ModelSource, RankFieldData, RealConfig,
+    RealError, ReservationTopology,
 };
 use ratiomodel::Models;
 use std::path::PathBuf;
@@ -142,8 +142,9 @@ impl TimelineConfig {
 /// step on the fly) or a borrow of pre-generated steps — e.g.
 /// `|s| &data[s]` when comparing modes over identical inputs.
 ///
-/// Returns the per-step metrics; any engine or verification failure
-/// aborts the stream with the failing step's error.
+/// Returns one [`obs::StepFlight`] row per step; any engine or
+/// verification failure aborts the stream with the failing step's
+/// error.
 pub fn run_timeline<F, D>(cfg: &TimelineConfig, step_data: F) -> Result<TimelineReport, RealError>
 where
     F: FnMut(usize) -> D,
@@ -200,13 +201,16 @@ where
         let nfields = data.first().map_or(0, Vec::len);
         rc.path = cfg.step_path(step);
         rc.faults = cfg.step_faults.as_ref().and_then(|h| (h.0)(step));
-        // Flight-recorder baseline: per-step figures are deltas of the
-        // process-global obs metrics, and the queue gauge's high-water
-        // mark restarts so it reports this step's maximum only.
+        // Record baselines: wire bytes are deltas of the process-global
+        // obs metrics, the queue gauge's high-water mark restarts so it
+        // reports this step's maximum only, and fault figures are deltas
+        // of the step's own injector (which a hook may share across
+        // steps).
         let metrics_before = obs::snapshot();
+        let faults_before = rc.faults.as_ref().map(|f| f.stats()).unwrap_or_default();
         obs::gauge("h5.asyncq.depth").reset_high_water();
         let step_span = obs::span_arg("timeline.step", step as u64);
-        let (result, obs) = match &cfg.mode {
+        let (result, observed) = match &cfg.mode {
             AdaptMode::Static => run_real_with(
                 data,
                 &rc,
@@ -235,9 +239,24 @@ where
         drop(step_span);
         let mean_rel_err = match (&cfg.mode, &online) {
             (AdaptMode::Adaptive(_), Some(src)) => src.predictor().mean_rel_err(),
-            _ => step_mean_rel_err(&obs),
+            // Static mode has no EWMA: report the step's own error.
+            _ => mean_rel_err(observed.iter().flatten().map(|o| (o.predicted, o.actual))),
         };
-        let m = StepMetrics::collect(step, result, &obs, mean_rel_err);
+        let mut row = step_row(step, &result, &observed, mean_rel_err);
+        let after = obs::snapshot();
+        row.collective_wire_bytes =
+            after.counter_delta(&metrics_before, "real.reservation_wire_bytes");
+        row.queue_depth_max = after
+            .gauges
+            .get("h5.asyncq.depth")
+            .map_or(0, |&(_, hwm)| hwm.max(0) as u64);
+        if let Some(f) = &rc.faults {
+            let s = f.stats();
+            row.retries = s.retries - faults_before.retries;
+            row.transient_faults = s.transient - faults_before.transient;
+            row.escalations = s.escalations - faults_before.escalations;
+        }
+        row.host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
         if cfg.keep_files {
             // Persist the post-step adaptation state beside the
             // container: a restart after this step resumes prediction
@@ -251,16 +270,14 @@ where
                 )
                 .map_err(|e| RealError(format!("timeline: step {step} sidecar: {e}")))?;
             }
-            // Flight record beside the sidecar: byte fields mirror
-            // StepMetrics exactly, counters are per-step deltas, so a
-            // post-crash reader sees what this step was doing.
-            let rec = step_flight(&m, &metrics_before);
-            obs::flight::write_step(&obs::flight::flight_path(&rc.path), &rec)
+            // The report row is the flight record: a post-crash reader
+            // sees what this step was doing.
+            obs::flight::write_step(&obs::flight::flight_path(&rc.path), &row)
                 .map_err(|e| RealError(format!("timeline: step {step} flight record: {e}")))?;
         } else {
             let _ = std::fs::remove_file(&rc.path);
         }
-        steps.push(m);
+        steps.push(row);
     }
     obs::trace::export_env()
         .map_err(|e| RealError(format!("timeline: chrome-trace export: {e}")))?;
@@ -268,59 +285,6 @@ where
         mode: cfg.mode.label().to_string(),
         steps,
     })
-}
-
-/// Assemble one step's flight record from its collected metrics and
-/// the obs-metrics snapshot taken before the step ran.
-fn step_flight(m: &StepMetrics, before: &obs::Snapshot) -> obs::StepFlight {
-    let after = obs::snapshot();
-    let queue_hwm = after
-        .gauges
-        .get("h5.asyncq.depth")
-        .map_or(0, |&(_, hwm)| hwm.max(0)) as u64;
-    obs::StepFlight {
-        step: m.step as u64,
-        reserved_bytes: m.reserved_bytes,
-        waste_bytes: m.waste_bytes,
-        predicted_bytes: m.predicted_bytes,
-        actual_bytes: m.actual_bytes,
-        overflow_bytes: m.result.overflow_bytes,
-        overflow_parts: m.result.n_overflow as u64,
-        raw_bytes: m.result.raw_bytes,
-        file_bytes: m.result.file_bytes,
-        collective_wire_bytes: after.counter_delta(before, "real.reservation_wire_bytes"),
-        predict_secs: m.result.breakdown.predict,
-        planner_secs: m.result.breakdown.allgather,
-        compress_secs: m.result.breakdown.compress,
-        write_secs: m.result.breakdown.write,
-        overflow_secs: m.result.breakdown.overflow,
-        verify_secs: m.result.breakdown.verify,
-        total_secs: m.result.total_time,
-        queue_depth_max: queue_hwm,
-        retries: after.counter_delta(before, "pfsim.faults.retries"),
-        transient_faults: after.counter_delta(before, "pfsim.faults.transient"),
-        escalations: after.counter_delta(before, "pfsim.faults.escalations"),
-        mean_rel_err: m.mean_rel_err,
-        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
-    }
-}
-
-/// Mean relative prediction error of one step's partitions (the
-/// static mode has no EWMA, so report the instantaneous error).
-fn step_mean_rel_err(obs: &predwrite::RunObservations) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for o in obs.iter().flatten() {
-        if o.actual > 0 {
-            sum += (o.predicted as f64 - o.actual as f64).abs() / o.actual as f64;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
 }
 
 /// [`run_timeline`] over a [`workloads::SnapshotStream`]: generates

@@ -43,6 +43,6 @@ pub use data::{partition_1d, partition_3d, partition_stream_step};
 pub use engine::{
     run_stream, run_timeline, run_timeline_resumed, AdaptMode, StepFaults, TimelineConfig,
 };
-pub use metrics::{StepMetrics, TimelineReport};
+pub use metrics::TimelineReport;
 pub use recovery::{newest_flight, resume_timeline, ResumeReport};
 pub use sidecar::{load_sidecar, save_sidecar, sidecar_path};

@@ -1,60 +1,29 @@
 //! Per-step and per-run accounting of a timeline stream.
 
-use predwrite::{RunObservations, RunResult};
+use obs::StepFlight;
+use predwrite::{step_record, RunObservations, RunResult};
 
-/// What one streamed checkpoint cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepMetrics {
-    /// Timestep index.
-    pub step: usize,
-    /// The underlying engine result (timings, file size, overflows).
-    pub result: RunResult,
-    /// Bytes reserved across all partitions.
-    pub reserved_bytes: u64,
-    /// Reserved bytes left unused — the extra-space waste the
-    /// adaptive headroom exists to shrink.
-    pub waste_bytes: u64,
-    /// Sum of predicted compressed sizes.
-    pub predicted_bytes: u64,
-    /// Sum of actual compressed sizes.
-    pub actual_bytes: u64,
-    /// Mean relative prediction error: the EWMA-tracked error after
-    /// feedback in adaptive mode, the step's instantaneous error in
-    /// static mode.
-    pub mean_rel_err: f64,
-}
-
-impl StepMetrics {
-    /// Derive one step's metrics from the engine output.
-    pub fn collect(
-        step: usize,
-        result: RunResult,
-        obs: &RunObservations,
-        mean_rel_err: f64,
-    ) -> Self {
-        let mut reserved = 0u64;
-        let mut waste = 0u64;
-        let mut predicted = 0u64;
-        let mut actual = 0u64;
-        for o in obs.iter().flatten() {
-            reserved += o.reserved;
-            // Bytes of the reservation the partition did not fill (an
-            // overflowing partition fills it exactly).
-            let in_slot = o.actual - o.overflow;
-            waste += o.reserved.saturating_sub(in_slot);
-            predicted += o.predicted;
-            actual += o.actual;
-        }
-        StepMetrics {
-            step,
-            result,
-            reserved_bytes: reserved,
-            waste_bytes: waste,
-            predicted_bytes: predicted,
-            actual_bytes: actual,
-            mean_rel_err,
-        }
+/// One step's report row: the engine result's fields plus the
+/// reservation accounting of the step's per-partition observations.
+/// The engine adds the host, queue, wire and fault figures.
+pub(crate) fn step_row(
+    step: usize,
+    result: &RunResult,
+    observed: &RunObservations,
+    mean_rel_err: f64,
+) -> StepFlight {
+    let mut row = StepFlight {
+        mean_rel_err,
+        ..step_record(step, result)
+    };
+    for o in observed.iter().flatten() {
+        row.reserved_bytes += o.reserved;
+        // Bytes of the reservation the partition did not fill (an
+        // overflowing partition fills it exactly).
+        row.waste_bytes += o.reserved.saturating_sub(o.actual - o.overflow);
+        row.predicted_bytes += o.predicted;
     }
+    row
 }
 
 /// Aggregate outcome of one timeline run.
@@ -62,45 +31,16 @@ impl StepMetrics {
 pub struct TimelineReport {
     /// [`crate::AdaptMode`] label the run used.
     pub mode: String,
-    /// One entry per streamed step, in step order.
-    pub steps: Vec<StepMetrics>,
-}
-
-impl TimelineReport {
-    /// Cumulative extra-space waste across the stream.
-    pub fn total_waste(&self) -> u64 {
-        self.steps.iter().map(|s| s.waste_bytes).sum()
-    }
-
-    /// Total overflow-redirection events across the stream.
-    pub fn total_overflows(&self) -> usize {
-        self.steps.iter().map(|s| s.result.n_overflow).sum()
-    }
-
-    /// Total bytes redirected to overflow regions.
-    pub fn total_overflow_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.result.overflow_bytes).sum()
-    }
-
-    /// Total container-file bytes written.
-    pub fn total_file_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.result.file_bytes).sum()
-    }
-
-    /// Total actual compressed bytes.
-    pub fn total_compressed_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.result.compressed_bytes).sum()
-    }
-
-    /// Sum of per-step wall clocks (slowest rank each step).
-    pub fn total_time(&self) -> f64 {
-        self.steps.iter().map(|s| s.result.total_time).sum()
-    }
+    /// One row per streamed step, in step order; with
+    /// [`crate::TimelineConfig::keep_files`] each row is also the
+    /// step's flight record. Sum them with [`obs::StepTotals`].
+    pub steps: Vec<StepFlight>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::StepTotals;
     use predwrite::{Breakdown, FieldObservation, Method};
 
     fn result(n_overflow: usize, overflow_bytes: u64, file_bytes: u64) -> RunResult {
@@ -136,11 +76,13 @@ mod tests {
                 overflow: 80,
             },
         ]];
-        let m = StepMetrics::collect(0, result(1, 80, 500), &obs, 0.25);
+        let m = step_row(0, &result(1, 80, 500), &obs, 0.25);
         assert_eq!(m.reserved_bytes, 270);
         assert_eq!(m.waste_bytes, 50);
         assert_eq!(m.predicted_bytes, 200);
-        assert_eq!(m.actual_bytes, 300);
+        assert_eq!(m.actual_bytes, 1000);
+        assert_eq!((m.overflow_parts, m.overflow_bytes), (1, 80));
+        assert_eq!(m.mean_rel_err, 0.25);
     }
 
     #[test]
@@ -152,18 +94,17 @@ mod tests {
             actual: 100,
             overflow: 0,
         }]];
-        let steps = vec![
-            StepMetrics::collect(0, result(0, 0, 400), &obs, 0.0),
-            StepMetrics::collect(1, result(2, 60, 450), &obs, 0.0),
+        let steps = [
+            step_row(0, &result(0, 0, 400), &obs, 0.0),
+            step_row(1, &result(2, 60, 450), &obs, 0.0),
         ];
-        let rep = TimelineReport {
-            mode: "static".into(),
-            steps,
-        };
-        assert_eq!(rep.total_waste(), 60);
-        assert_eq!(rep.total_overflows(), 2);
-        assert_eq!(rep.total_overflow_bytes(), 60);
-        assert_eq!(rep.total_file_bytes(), 850);
-        assert!((rep.total_time() - 2.0).abs() < 1e-12);
+        let t = StepTotals::of(&steps);
+        assert_eq!(t.reserved_bytes, 260);
+        assert_eq!(t.waste_bytes, 60);
+        assert_eq!(t.actual_bytes, 2000);
+        assert_eq!(t.overflow_parts, 2);
+        assert_eq!(t.overflow_bytes, 60);
+        assert_eq!(t.file_bytes, 850);
+        assert!((t.total_secs - 2.0).abs() < 1e-12);
     }
 }

@@ -8,6 +8,7 @@
 //! ```
 
 use bench::partition_stream_step;
+use repro_suite::obs::StepTotals;
 use repro_suite::predwrite::RankFieldData;
 use repro_suite::ratiomodel::OnlineConfig;
 use repro_suite::timeline::{run_timeline, AdaptMode, TimelineConfig, TimelineReport};
@@ -56,23 +57,24 @@ fn main() {
                 s.step,
                 s.reserved_bytes,
                 s.waste_bytes,
-                s.result.n_overflow,
+                s.overflow_parts,
                 s.mean_rel_err * 100.0
             );
         }
         reports.push(report);
     }
 
-    let (stat, adap) = (&reports[0], &reports[1]);
+    let stat = StepTotals::of(&reports[0].steps);
+    let adap = StepTotals::of(&reports[1].steps);
     println!(
         "\ncumulative waste: static {} vs adaptive {} bytes \
          ({:.1}% saved), overflows {} vs {}",
-        stat.total_waste(),
-        adap.total_waste(),
-        100.0 * stat.total_waste().saturating_sub(adap.total_waste()) as f64
-            / stat.total_waste().max(1) as f64,
-        stat.total_overflows(),
-        adap.total_overflows()
+        stat.waste_bytes,
+        adap.waste_bytes,
+        100.0 * stat.waste_bytes.saturating_sub(adap.waste_bytes) as f64
+            / stat.waste_bytes.max(1) as f64,
+        stat.overflow_parts,
+        adap.overflow_parts
     );
     println!(
         "every step was read back and bound-checked (TimelineConfig::quick \

@@ -9,6 +9,7 @@
 //! workers.
 
 use bench::partition_stream_step;
+use repro_suite::obs::StepTotals;
 use repro_suite::predwrite::RankFieldData;
 use repro_suite::ratiomodel::OnlineConfig;
 use repro_suite::timeline::{run_timeline, AdaptMode, TimelineConfig, TimelineReport};
@@ -62,7 +63,7 @@ fn adaptive_stream_decodes_every_step_on_all_workloads() {
             .unwrap_or_else(|e| panic!("{}: {e}", stream.label()));
         assert_eq!(report.steps.len(), 20);
         assert!(
-            report.steps.iter().all(|s| s.result.compressed_bytes > 0),
+            report.steps.iter().all(|s| s.actual_bytes > 0),
             "{}: every step must write data",
             stream.label()
         );
@@ -89,17 +90,18 @@ fn adaptive_beats_static_on_waste_at_no_more_overflows() {
     };
     let stat = run(AdaptMode::Static, "static");
     let adap = run(AdaptMode::Adaptive(OnlineConfig::default()), "adaptive");
+    let (st, at) = (StepTotals::of(&stat.steps), StepTotals::of(&adap.steps));
     assert!(
-        adap.total_waste() < stat.total_waste(),
+        at.waste_bytes < st.waste_bytes,
         "adaptive waste {} must be below static {}",
-        adap.total_waste(),
-        stat.total_waste()
+        at.waste_bytes,
+        st.waste_bytes
     );
     assert!(
-        adap.total_overflows() <= stat.total_overflows(),
+        at.overflow_parts <= st.overflow_parts,
         "adaptive overflows {} must not exceed static {}",
-        adap.total_overflows(),
-        stat.total_overflows()
+        at.overflow_parts,
+        st.overflow_parts
     );
 }
 
@@ -147,7 +149,7 @@ fn stream_is_deterministic_across_worker_counts() {
                 "step {s}: waste diverged at {workers} workers"
             );
             assert_eq!(
-                report.steps[s].result.n_overflow, base_report.steps[s].result.n_overflow,
+                report.steps[s].overflow_parts, base_report.steps[s].overflow_parts,
                 "step {s}: overflow count diverged at {workers} workers"
             );
         }
